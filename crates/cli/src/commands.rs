@@ -130,32 +130,14 @@ fn temporal_params(args: &Args) -> Result<Option<TemporalParams>, String> {
 }
 
 fn mass_params(args: &Args) -> Result<MassParams, String> {
-    let nb_precision = match args
-        .get("nb-precision")
-        .filter(|s| !s.is_empty())
-        .unwrap_or("exact")
-    {
-        "exact" => mass_text::NbPrecision::Exact,
-        "fast" => mass_text::NbPrecision::Fast,
-        other => {
-            return Err(format!(
-                "invalid value for --nb-precision: {other:?} (expected exact or fast)"
-            ))
-        }
-    };
     let params = MassParams {
         alpha: args.get_parse("alpha", 0.5)?,
         beta: args.get_parse("beta", 0.6)?,
         threads: args.get_parse("threads", 0usize)?,
-        block_nodes: args.get_parse("block-size", 0usize)?,
-        nb_precision,
-        fused_prepare: !args.flag("no-fuse"),
         temporal: temporal_params(args)?,
         ..MassParams::paper()
     };
-    if !(0.0..=1.0).contains(&params.alpha) || !(0.0..=1.0).contains(&params.beta) {
-        return Err("alpha and beta must be in [0, 1]".into());
-    }
+    params.validate().map_err(|e| e.to_string())?;
     Ok(params)
 }
 
@@ -1861,29 +1843,5 @@ mod tests {
         generate(&args(&["generate", "--bloggers", "20", "--out", &path])).unwrap();
         let err = rank(&args(&["rank", "--in", &path, "--alpha", "7"])).unwrap_err();
         assert!(err.contains("alpha"));
-    }
-
-    #[test]
-    fn kernel_knobs_parse_into_params() {
-        let a = args(&[
-            "rank",
-            "--block-size",
-            "4096",
-            "--nb-precision",
-            "fast",
-            "--no-fuse",
-        ]);
-        let p = mass_params(&a).unwrap();
-        assert_eq!(p.block_nodes, 4096);
-        assert_eq!(p.nb_precision, mass_text::NbPrecision::Fast);
-        assert!(!p.fused_prepare);
-
-        let defaults = mass_params(&args(&["rank"])).unwrap();
-        assert_eq!(defaults.block_nodes, 0);
-        assert_eq!(defaults.nb_precision, mass_text::NbPrecision::Exact);
-        assert!(defaults.fused_prepare);
-
-        let err = mass_params(&args(&["rank", "--nb-precision", "f16"])).unwrap_err();
-        assert!(err.contains("nb-precision"), "{err}");
     }
 }

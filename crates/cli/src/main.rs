@@ -55,9 +55,6 @@ COMMANDS:
   rank         print the top-k influential bloggers
                --in FILE  --k N (10)  --domain NAME (general if absent)
                --alpha F (0.5)  --beta F (0.6)
-               --block-size N (0 = plain pull kernel; N forces that tile)
-               --nb-precision exact|fast (exact)  --no-fuse [separate
-               quality/sentiment sweeps instead of the fused pass]
                --json-out FILE  [full-precision machine-readable ranking]
                --edit-storm N  --edit-seed N (42)  [apply a scripted edit
                storm before ranking]  --refresh-mode exact|warm|full (exact)

@@ -124,6 +124,23 @@ fn errors_exit_nonzero_with_message() {
 }
 
 #[test]
+fn out_of_range_alpha_exits_nonzero_with_the_typed_message() {
+    let corpus = tmp("bb_alpha.xml");
+    assert!(mass(&["generate", "--bloggers", "10", "--out", &corpus])
+        .status
+        .success());
+    for (raw, shown) in [("2", "2"), ("NaN", "NaN")] {
+        let o = mass(&["rank", "--in", &corpus, "--alpha", raw]);
+        assert!(!o.status.success(), "--alpha {raw} was accepted");
+        let err = stderr(&o);
+        assert!(
+            err.contains(&format!("alpha must be in [0, 1], got {shown}")),
+            "--alpha {raw}: {err}"
+        );
+    }
+}
+
+#[test]
 fn corrupted_xml_is_rejected_cleanly() {
     let path = tmp("bb_corrupt.xml");
     std::fs::write(&path, "<blogosphere><bloggers><blogger id=\"0\"").unwrap();

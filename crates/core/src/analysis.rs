@@ -34,8 +34,11 @@ impl MassAnalysis {
     /// Every post and comment is tokenized exactly once, into the
     /// [`PreparedCorpus`] the solver, classifier and novelty stages share
     /// (DESIGN.md §10).
+    ///
+    /// # Panics
+    /// Panics if `params` fail [`MassParams::validate`].
     pub fn analyze(ds: &Dataset, params: &MassParams) -> MassAnalysis {
-        params.validate();
+        params.expect_valid();
         let corpus = PreparedCorpus::build(ds, params.threads);
         Self::analyze_with_corpus(ds, &corpus, params)
     }
@@ -44,12 +47,15 @@ impl MassAnalysis {
     /// — the entry point when the interned text is reused across runs (e.g.
     /// discovered-domain analysis prepares once and analyses the rebased
     /// dataset with the same corpus).
+    ///
+    /// # Panics
+    /// Panics if `params` fail [`MassParams::validate`].
     pub fn analyze_with_corpus(
         ds: &Dataset,
         corpus: &PreparedCorpus,
         params: &MassParams,
     ) -> MassAnalysis {
-        params.validate();
+        params.expect_valid();
         let _span = mass_obs::span_with(
             "analysis.analyze",
             vec![

@@ -62,9 +62,9 @@ pub fn iv_vectors_prepared(
     }
 }
 
-/// Batch classification over interned documents, honouring
-/// [`MassParams::nb_precision`]: the flat `posts × classes` posterior block
-/// is computed in one allocation and carved into per-post rows.
+/// Batch classification over interned documents: the flat `posts ×
+/// classes` posterior block is computed in one allocation and carved into
+/// per-post rows.
 fn classify_all_prepared(
     model: &NaiveBayes,
     corpus: &PreparedCorpus,
@@ -73,7 +73,7 @@ fn classify_all_prepared(
     let compiled = model.compile(corpus.interner());
     let classes = compiled.classes();
     compiled
-        .posterior_batch_prepared_flat_with(corpus, params.threads, params.nb_precision)
+        .posterior_batch_prepared_flat(corpus, params.threads)
         .chunks_exact(classes)
         .map(|row| row.to_vec())
         .collect()

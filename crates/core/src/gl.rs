@@ -87,7 +87,6 @@ pub fn gl_scores_csr(link: &LinkCsr, params: &MassParams, warm: Option<&[f64]>) 
                 link,
                 &PageRankParams {
                     threads: params.threads,
-                    block_nodes: params.block_nodes,
                     ..Default::default()
                 },
                 warm,
@@ -100,7 +99,6 @@ pub fn gl_scores_csr(link: &LinkCsr, params: &MassParams, warm: Option<&[f64]>) 
                 link,
                 &HitsParams {
                     threads: params.threads,
-                    block_nodes: params.block_nodes,
                     ..Default::default()
                 },
                 warm,

@@ -36,9 +36,9 @@
 use crate::analysis::MassAnalysis;
 use crate::dirty::DirtySet;
 use crate::domain::{domain_influence, iv_vectors_prepared, train_on_tagged_prepared};
-use crate::gl::{gl_graph, gl_scores_csr};
+use crate::gl::gl_scores_csr;
 use crate::params::{IvSource, MassParams};
-use crate::quality::{make_detector, raw_quality_of, raw_quality_scores_with_detector};
+use crate::quality::{make_detector, raw_quality_of};
 use crate::solver::{solve_prepared, InfluenceScores, SolverInputs};
 use crate::temporal::{decay_inputs, TemporalError, TemporalParams};
 use crate::topk::{top_k, top_k_in_domain};
@@ -183,28 +183,21 @@ pub struct IncrementalMass {
 
 impl IncrementalMass {
     /// Builds the initial analysis (a full cold solve) — epoch 0.
+    ///
+    /// # Panics
+    /// Panics if `params` fail [`MassParams::validate`].
     pub fn new(dataset: Dataset, params: MassParams) -> Self {
-        params.validate();
+        params.expect_valid();
         let ix = dataset.index();
         // The initial corpus is tokenized exactly once; later edits score
         // their own text through the string paths (one post at a time).
         let corpus = PreparedCorpus::build(&dataset, params.threads);
         // Build inputs with a persistent detector so later posts dedupe
-        // against the initial corpus.
+        // against the initial corpus; keep the link CSR and GL warm vector
+        // the batch composition produced.
         let mut detector = make_detector(&params);
-        let link = LinkCsr::from_digraph(&gl_graph(&dataset, &params));
-        let gl = gl_scores_csr(&link, &params, None);
-        let inputs = SolverInputs {
-            raw_quality: raw_quality_scores_with_detector(
-                &dataset,
-                &corpus,
-                &params,
-                detector.as_mut(),
-            ),
-            gl: gl.gl,
-            factors: crate::solver::resolve_comment_factors_prepared(&dataset, &corpus),
-            tc: crate::solver::compute_tc(&dataset, &ix, &params),
-        };
+        let (inputs, link, gl_warm) =
+            SolverInputs::build_prepared_with(&dataset, &ix, &params, &corpus, detector.as_mut());
         let scores = {
             let decayed = decay_inputs(&dataset, &inputs, &params);
             solve_prepared(&dataset, &decayed, &params, None)
@@ -233,7 +226,7 @@ impl IncrementalMass {
             domain_matrix,
             comment_counts,
             link,
-            gl_warm: gl.warm,
+            gl_warm,
             gl_exact: true,
             dirty: DirtySet::default(),
             pending_edits: 0,

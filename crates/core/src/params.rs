@@ -4,8 +4,9 @@
 //! parameters for modeling general influence and domain influence" — α and β
 //! are user-tunable, with paper defaults 0.5 and 0.6.
 
-use crate::temporal::TemporalParams;
-use mass_text::{NaiveBayes, NbPrecision};
+use crate::temporal::{TemporalError, TemporalParams};
+use mass_text::NaiveBayes;
+use std::fmt;
 
 /// Which authority measure backs the General-Links (GL) facet of Eq. 1.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -94,23 +95,6 @@ pub struct MassParams {
     /// determinism contract of DESIGN.md §8, enforced by the differential
     /// harness in `tests/parallel_determinism.rs`.
     pub threads: usize,
-    /// Cache-blocking tile width (destination nodes) for the link-analysis
-    /// pull kernel (DESIGN.md §14): `0` keeps the plain kernel (blocking
-    /// is opt-in — see `resolve_block_nodes`), any other value forces that
-    /// tile, `usize::MAX` disables blocking.
-    /// Scores are bit-identical at every setting.
-    pub block_nodes: usize,
-    /// Arithmetic for the naive-Bayes domain classifier.
-    /// [`NbPrecision::Exact`] (default) is bit-identical to the reference
-    /// gather; [`NbPrecision::Fast`] gathers from an `f32` table —
-    /// tolerance-bounded, never bit-identical, so artifacts built with it
-    /// must not feed byte-identity gates.
-    pub nb_precision: NbPrecision,
-    /// Build quality and comment-sentiment inputs in one fused corpus sweep
-    /// (the default) instead of two separate passes. The fused sweep is
-    /// bit-identical to the separate path — `false` keeps the legacy
-    /// two-pass build callable for differential pinning.
-    pub fused_prepare: bool,
     /// Temporal facet (DESIGN.md §15): when set, scoring weights every
     /// post and comment by its age at `as_of` under the given decay law,
     /// and items stamped after `as_of` are invisible. `None` (the
@@ -135,44 +119,98 @@ impl MassParams {
             max_iterations: 100,
             residual_history_cap: 256,
             threads: 1,
-            block_nodes: 0,
-            nb_precision: NbPrecision::Exact,
-            fused_prepare: true,
             temporal: None,
         }
     }
 
-    /// Checks parameter ranges.
-    ///
-    /// # Panics
-    /// Panics if α or β leave [0, 1], ε is non-positive, the sweep cap
-    /// is zero, or the temporal decay law is degenerate (NaN or
-    /// non-positive half-life).
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.alpha),
-            "alpha must be in [0,1], got {}",
-            self.alpha
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.beta),
-            "beta must be in [0,1], got {}",
-            self.beta
-        );
-        assert!(self.epsilon > 0.0, "epsilon must be positive");
-        assert!(self.max_iterations > 0, "max_iterations must be positive");
-        assert!(
-            self.residual_history_cap >= 2,
-            "residual_history_cap must be at least 2, got {}",
-            self.residual_history_cap
-        );
+    /// Checks parameter ranges, returning the first rule broken as a
+    /// typed error instead of panicking on junk (NaN, ±∞, zero caps).
+    pub fn validate(&self) -> Result<(), ParamsError> {
+        if !(0.0..=1.0).contains(&self.alpha) {
+            return Err(ParamsError::AlphaOutOfRange { value: self.alpha });
+        }
+        if !(0.0..=1.0).contains(&self.beta) {
+            return Err(ParamsError::BetaOutOfRange { value: self.beta });
+        }
+        if self.epsilon.is_nan() || self.epsilon <= 0.0 {
+            return Err(ParamsError::EpsilonNotPositive {
+                value: self.epsilon,
+            });
+        }
+        if self.max_iterations == 0 {
+            return Err(ParamsError::ZeroMaxIterations);
+        }
+        if self.residual_history_cap < 2 {
+            return Err(ParamsError::HistoryCapTooSmall {
+                value: self.residual_history_cap,
+            });
+        }
         if let Some(t) = &self.temporal {
-            if let Err(e) = t.validate() {
-                panic!("invalid temporal params: {e}");
-            }
+            t.validate().map_err(ParamsError::Temporal)?;
+        }
+        Ok(())
+    }
+
+    /// [`MassParams::validate`] for the library entry points that document
+    /// a panic on invalid parameters.
+    pub(crate) fn expect_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid MassParams: {e}");
         }
     }
 }
+
+/// Which [`MassParams::validate`] rule a parameter set broke.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ParamsError {
+    /// α must lie in [0, 1].
+    AlphaOutOfRange {
+        /// The offending value.
+        value: f64,
+    },
+    /// β must lie in [0, 1].
+    BetaOutOfRange {
+        /// The offending value.
+        value: f64,
+    },
+    /// ε must be strictly positive (and not NaN).
+    EpsilonNotPositive {
+        /// The offending value.
+        value: f64,
+    },
+    /// The solver needs at least one sweep.
+    ZeroMaxIterations,
+    /// The residual history must keep at least its two endpoints.
+    HistoryCapTooSmall {
+        /// The offending value.
+        value: usize,
+    },
+    /// The temporal decay law is degenerate.
+    Temporal(TemporalError),
+}
+
+impl fmt::Display for ParamsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParamsError::AlphaOutOfRange { value } => {
+                write!(f, "alpha must be in [0, 1], got {value}")
+            }
+            ParamsError::BetaOutOfRange { value } => {
+                write!(f, "beta must be in [0, 1], got {value}")
+            }
+            ParamsError::EpsilonNotPositive { value } => {
+                write!(f, "epsilon must be positive, got {value}")
+            }
+            ParamsError::ZeroMaxIterations => write!(f, "max_iterations must be positive"),
+            ParamsError::HistoryCapTooSmall { value } => {
+                write!(f, "residual_history_cap must be at least 2, got {value}")
+            }
+            ParamsError::Temporal(e) => write!(f, "invalid temporal params: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ParamsError {}
 
 impl Default for MassParams {
     fn default() -> Self {
@@ -193,9 +231,6 @@ impl PartialEq for MassParams {
             && self.max_iterations == other.max_iterations
             && self.residual_history_cap == other.residual_history_cap
             && self.threads == other.threads
-            && self.block_nodes == other.block_nodes
-            && self.nb_precision == other.nb_precision
-            && self.fused_prepare == other.fused_prepare
             && self.temporal == other.temporal
             && matches!(
                 (&self.iv, &other.iv),
@@ -214,7 +249,7 @@ mod tests {
         let p = MassParams::paper();
         assert_eq!(p.alpha, 0.5);
         assert_eq!(p.beta, 0.6);
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]
@@ -223,56 +258,76 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "alpha")]
-    fn alpha_out_of_range() {
-        MassParams {
-            alpha: 1.5,
-            ..MassParams::paper()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "beta")]
-    fn beta_out_of_range() {
-        MassParams {
-            beta: -0.1,
-            ..MassParams::paper()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "residual_history_cap")]
-    fn history_cap_must_allow_endpoints() {
-        MassParams {
-            residual_history_cap: 1,
-            ..MassParams::paper()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn epsilon_must_be_positive() {
-        MassParams {
-            epsilon: 0.0,
-            ..MassParams::paper()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "half-life")]
-    fn degenerate_half_life_is_rejected() {
+    fn each_rule_has_its_own_error() {
         use crate::temporal::{DecayParams, TemporalParams};
+        let paper = MassParams::paper;
+        let cases = [
+            (
+                MassParams {
+                    alpha: 1.5,
+                    ..paper()
+                },
+                ParamsError::AlphaOutOfRange { value: 1.5 },
+                "alpha",
+            ),
+            (
+                MassParams {
+                    beta: -0.1,
+                    ..paper()
+                },
+                ParamsError::BetaOutOfRange { value: -0.1 },
+                "beta",
+            ),
+            (
+                MassParams {
+                    epsilon: 0.0,
+                    ..paper()
+                },
+                ParamsError::EpsilonNotPositive { value: 0.0 },
+                "epsilon",
+            ),
+            (
+                MassParams {
+                    max_iterations: 0,
+                    ..paper()
+                },
+                ParamsError::ZeroMaxIterations,
+                "max_iterations",
+            ),
+            (
+                MassParams {
+                    residual_history_cap: 1,
+                    ..paper()
+                },
+                ParamsError::HistoryCapTooSmall { value: 1 },
+                "residual_history_cap",
+            ),
+            (
+                MassParams {
+                    temporal: Some(TemporalParams {
+                        as_of: 100,
+                        decay: DecayParams::Exponential { half_life: -3.0 },
+                    }),
+                    ..paper()
+                },
+                ParamsError::Temporal(TemporalError::HalfLifeNotPositive { value: -3.0 }),
+                "half-life",
+            ),
+        ];
+        for (params, want, word) in cases {
+            let err = params.validate().unwrap_err();
+            assert_eq!(err, want);
+            assert!(err.to_string().contains(word), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MassParams: alpha")]
+    fn entry_points_panic_with_the_typed_message() {
         MassParams {
-            temporal: Some(TemporalParams {
-                as_of: 100,
-                decay: DecayParams::Exponential { half_life: -3.0 },
-            }),
+            alpha: 2.0,
             ..MassParams::paper()
         }
-        .validate();
+        .expect_valid();
     }
 }

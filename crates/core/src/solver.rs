@@ -16,14 +16,13 @@
 //! residual decays geometrically in practice. The X3 benchmark plots the
 //! decay; property tests below check monotonicity invariants.
 
-use crate::gl::gl_scores;
+use crate::gl::{gl_graph, gl_scores, gl_scores_csr};
 use crate::params::MassParams;
-use crate::quality::{length_term, make_detector, raw_quality_scores, raw_quality_scores_prepared};
+use crate::quality::{make_detector, raw_quality_scores, raw_quality_scores_with_detector};
+use mass_graph::LinkCsr;
 use mass_obs::field;
-use mass_text::novelty::novelty_from_markers;
-use mass_text::{PreparedCorpus, SentimentLexicon};
+use mass_text::{NoveltyDetector, PreparedCorpus, SentimentLexicon};
 use mass_types::{BloggerId, Dataset, DatasetIndex, PostId};
-use std::borrow::Cow;
 
 /// Precomputed, incrementally-maintainable solver inputs.
 ///
@@ -58,94 +57,50 @@ impl SolverInputs {
     /// Builds all inputs from a dataset whose text is already interned:
     /// novelty and sentiment read token ids from the [`PreparedCorpus`]
     /// instead of re-tokenizing. Bit-identical to [`SolverInputs::build`].
-    ///
-    /// With [`MassParams::fused_prepare`] (the default) quality and comment
-    /// sentiment are computed in one fused corpus sweep; `false` routes
-    /// through [`SolverInputs::build_prepared_separate`]. Both produce the
-    /// same inputs bit for bit (DESIGN.md §14).
     pub fn build_prepared(
         ds: &Dataset,
         ix: &DatasetIndex,
         params: &MassParams,
         corpus: &PreparedCorpus,
     ) -> Self {
-        if params.fused_prepare {
-            Self::build_prepared_fused(ds, ix, params, corpus)
-        } else {
-            Self::build_prepared_separate(ds, ix, params, corpus)
-        }
+        Self::build_prepared_with(ds, ix, params, corpus, make_detector(params).as_mut()).0
     }
 
-    /// The legacy two-pass prepared build: quality in one corpus sweep,
-    /// comment sentiment in a second. Kept callable so the differential
-    /// suite and the X17 bench can pin the fused sweep against it.
-    pub fn build_prepared_separate(
+    /// [`SolverInputs::build_prepared`] with the caller's novelty detector,
+    /// which keeps every post's shingles so later posts dedupe against this
+    /// corpus. Also returns the provider's link CSR and GL warm-start
+    /// vector ([`GlRefresh::warm`](crate::GlRefresh::warm)): the incremental
+    /// engine keeps all three across edits, so its set-up is this batch
+    /// composition, not a copy of it.
+    pub(crate) fn build_prepared_with(
         ds: &Dataset,
         ix: &DatasetIndex,
         params: &MassParams,
         corpus: &PreparedCorpus,
-    ) -> Self {
-        SolverInputs {
-            raw_quality: raw_quality_scores_prepared(ds, corpus, params),
-            gl: gl_scores(ds, params),
-            factors: resolve_comment_factors_prepared(ds, corpus),
-            tc: compute_tc(ds, ix, params),
-        }
-    }
-
-    /// One fused sweep over the prepared corpus: each post's quality terms
-    /// (length × novelty) and its comments' sentiment factors are resolved
-    /// together while the post's interned tokens are hot in cache, instead
-    /// of two full traversals. The novelty detector sees posts in the same
-    /// corpus order and every per-post op sequence is unchanged, so the
-    /// inputs are bit-identical to the separate path.
-    fn build_prepared_fused(
-        ds: &Dataset,
-        ix: &DatasetIndex,
-        params: &MassParams,
-        corpus: &PreparedCorpus,
-    ) -> Self {
-        let _span = mass_obs::span("solver.build_inputs_fused");
-        let mut detector = make_detector(params);
-        let compiled = SentimentLexicon::default().compile(corpus.interner());
-        let np = ds.posts.len();
-        let mut raw_quality = Vec::with_capacity(np);
-        let mut factors: Vec<Vec<(usize, f64)>> = Vec::with_capacity(np);
-        let mut toks: Vec<&str> = Vec::new();
-        for (k, post) in ds.posts.iter().enumerate() {
-            let novelty = if !params.use_novelty {
-                1.0
-            } else {
-                match detector.as_mut() {
-                    Some(d) => {
-                        toks.clear();
-                        toks.extend(corpus.text_tokens(k).iter().map(|&t| corpus.resolve(t)));
-                        d.score_and_add_tokens(&post.text, &toks)
-                    }
-                    None => novelty_from_markers(&post.text),
-                }
-            };
-            raw_quality.push(length_term(post.length_words(), params.length_mode) * novelty);
-            factors.push(
-                post.comments
-                    .iter()
-                    .enumerate()
-                    .map(|(j, c)| {
-                        let sf = match c.sentiment {
-                            Some(s) => s.factor(),
-                            None => compiled.factor_ids(corpus.comment_tokens(k, j)),
-                        };
-                        (c.commenter.index(), sf)
-                    })
-                    .collect(),
-            );
-        }
-        SolverInputs {
+        detector: Option<&mut NoveltyDetector>,
+    ) -> (Self, LinkCsr, Vec<f64>) {
+        let _span = mass_obs::span("solver.build_inputs");
+        let raw_quality = {
+            let _s = mass_obs::span("quality.novelty");
+            raw_quality_scores_with_detector(ds, corpus, params, detector)
+        };
+        let factors = {
+            let _s = mass_obs::span("sentiment");
+            resolve_comment_factors_prepared(ds, corpus)
+        };
+        let (link, gl) = {
+            let _s = mass_obs::span("gl.scores");
+            let link = LinkCsr::from_digraph(&gl_graph(ds, params));
+            let gl = gl_scores_csr(&link, params, None);
+            (link, gl)
+        };
+        let inputs = SolverInputs {
             raw_quality,
-            gl: gl_scores(ds, params),
+            gl: gl.gl,
             factors,
             tc: compute_tc(ds, ix, params),
-        }
+        };
+        (inputs, link, gl.warm)
     }
 }
 
@@ -284,7 +239,7 @@ pub(crate) fn resolve_comment_factors_prepared(
 /// Runs the fixed-point solver over a dataset.
 ///
 /// # Panics
-/// Panics if `params` fail validation.
+/// Panics if `params` fail [`MassParams::validate`].
 pub fn solve(ds: &Dataset, ix: &DatasetIndex, params: &MassParams) -> InfluenceScores {
     let inputs = SolverInputs::build(ds, ix, params);
     solve_prepared(ds, &inputs, params, None)
@@ -340,8 +295,7 @@ pub struct SweepLayout {
     a_off: Vec<u32>,
     /// Post ids grouped by author, ascending within each group.
     a_post: Vec<u32>,
-    /// Sanitised, max-normalised post quality — the exact vector the
-    /// per-call prologue would produce, snapshotted so steady-state
+    /// Sanitised, max-normalised post quality, snapshotted so steady-state
     /// re-solves skip the sanitise passes.
     quality: Vec<f64>,
     /// Sanitised GL facet (finite entries clamped to [0, 1], rest zeroed).
@@ -466,9 +420,8 @@ impl SweepLayout {
             a_post[*c as usize] = k as u32;
             *c += 1;
         }
-        // Snapshot the sanitised scalar inputs — byte for byte what the
-        // per-call prologue computes, so a layout-carrying solve can skip
-        // those passes entirely.
+        // Snapshot the sanitised scalar inputs, so a layout-carrying solve
+        // skips those passes entirely.
         let raw_quality: Vec<f64> = inputs
             .raw_quality
             .iter()
@@ -531,31 +484,20 @@ impl SweepLayout {
     }
 }
 
-/// Which sweep kernel [`solve_prepared_impl`] runs. Both produce the same
-/// [`InfluenceScores`] bit for bit; they differ only in data layout and
-/// pass structure (DESIGN.md §14).
-#[derive(Clone, Copy, PartialEq)]
-enum SweepKernel {
-    /// Flat CSR layouts, three fused passes per sweep.
-    Fused,
-    /// The pre-§14 kernel: nested `Vec` layouts, nine passes per sweep.
-    Reference,
-}
-
 /// Runs the solver over prebuilt inputs, optionally warm-starting from a
 /// previous influence vector (entries beyond its length — new bloggers —
 /// start neutral at 0.5).
 ///
 /// # Panics
-/// Panics if `params` fail validation or the inputs' dimensions do not
-/// match the dataset.
+/// Panics if `params` fail [`MassParams::validate`] or the inputs'
+/// dimensions do not match the dataset.
 pub fn solve_prepared(
     ds: &Dataset,
     inputs: &SolverInputs,
     params: &MassParams,
     warm_start: Option<&[f64]>,
 ) -> InfluenceScores {
-    solve_prepared_impl(ds, inputs, params, warm_start, SweepKernel::Fused, None)
+    solve_prepared_impl(ds, inputs, params, warm_start, None)
 }
 
 /// [`solve_prepared`] with a caller-prebuilt [`SweepLayout`], skipping the
@@ -578,29 +520,7 @@ pub fn solve_prepared_with_layout(
         ds.bloggers.len(),
         "layout blogger count mismatch"
     );
-    solve_prepared_impl(
-        ds,
-        inputs,
-        params,
-        warm_start,
-        SweepKernel::Fused,
-        Some(layout),
-    )
-}
-
-/// [`solve_prepared`] on the pre-§14 sweep kernel: the comment factors stay
-/// in their nested per-post `Vec`s and every sweep runs the original nine
-/// passes (fill, max, normalise ×2, plus separate post-score, gather and
-/// residual passes). Kept callable so the differential suite and the X17
-/// bench can pin the fused kernel — which must match it bit for bit at
-/// every thread count — against the real pre-optimisation data path.
-pub fn solve_prepared_reference(
-    ds: &Dataset,
-    inputs: &SolverInputs,
-    params: &MassParams,
-    warm_start: Option<&[f64]>,
-) -> InfluenceScores {
-    solve_prepared_impl(ds, inputs, params, warm_start, SweepKernel::Reference, None)
+    solve_prepared_impl(ds, inputs, params, warm_start, Some(layout))
 }
 
 fn solve_prepared_impl(
@@ -608,10 +528,9 @@ fn solve_prepared_impl(
     inputs: &SolverInputs,
     params: &MassParams,
     warm_start: Option<&[f64]>,
-    kernel: SweepKernel,
     layout_in: Option<&SweepLayout>,
 ) -> InfluenceScores {
-    params.validate();
+    params.expect_valid();
     let nb = ds.bloggers.len();
     let np = ds.posts.len();
     let ex = mass_par::executor(params.threads);
@@ -629,141 +548,35 @@ fn solve_prepared_impl(
     assert_eq!(inputs.factors.len(), np, "factors input mismatch");
     assert_eq!(inputs.tc.len(), nb, "tc input mismatch");
 
-    // Guard against non-finite inputs: a single NaN would otherwise poison
-    // every score through the normalisations and Jacobi sweeps. Offending
-    // entries are neutralised (quality/GL/sentiment → 0, TC → 1) and the run
-    // is flagged `Degenerate` so callers can warn instead of silently
-    // ranking on garbage.
-    let mut degenerate = false;
     let (alpha, beta) = (params.alpha, params.beta);
-    // Step-3 gather layout: posts grouped by author, ascending post id
-    // within each group. Grouping turns the scatter into independent
-    // per-blogger gathers, which parallelise freely while keeping each
-    // slot's accumulation order — and therefore its bits — identical to
-    // the serial sweep. The fused kernel packs both the author groups and
-    // the comment factors into flat CSR arrays (offsets + one contiguous
-    // payload stream) so the sweep walks unit-stride memory instead of
-    // chasing one heap pointer per post; the reference kernel keeps the
-    // nested `Vec` layout so X17's old-vs-new rows measure the real
-    // pre-§14 data path.
-    // Factor sanitisation is folded into the kernel-specific layout build:
-    // the reference kernel keeps the pre-§14 check-then-maybe-clone over
-    // the nested `Vec`s, the fused kernel sanitises while flattening — one
-    // traversal instead of two, same per-factor values and `degenerate`
-    // outcome either way.
-    let factors_clean: Vec<Vec<(usize, f64)>>;
-    let mut factors: &Vec<Vec<(usize, f64)>> = &inputs.factors;
-    let mut posts_by_author: Vec<Vec<usize>> = Vec::new();
+    // The layout packs both the comment factors and the posts grouped by
+    // author into flat CSR arrays (offsets + one contiguous payload
+    // stream), so the sweep walks unit-stride memory instead of chasing
+    // one heap pointer per post. Grouping posts by author turns step 3's
+    // scatter into independent per-blogger gathers, which parallelise
+    // freely while keeping each slot's accumulation order — and therefore
+    // its bits — identical to the serial sweep.
+    //
+    // Non-finite inputs would poison every score through the
+    // normalisations and Jacobi sweeps, so the layout build neutralises
+    // them (quality/GL/sentiment → 0, TC → 1) and snapshots the sanitised
+    // vectors; the run is flagged `Degenerate` so callers can warn instead
+    // of silently ranking on garbage.
     let layout_owned: SweepLayout;
-    let layout: Option<&SweepLayout> = match kernel {
-        SweepKernel::Reference => {
-            if !inputs
-                .factors
-                .iter()
-                .flatten()
-                .all(|&(_, sf)| sf.is_finite())
-            {
-                degenerate = true;
-                factors_clean = inputs
-                    .factors
-                    .iter()
-                    .map(|per_post| {
-                        per_post
-                            .iter()
-                            .map(|&(j, sf)| (j, if sf.is_finite() { sf } else { 0.0 }))
-                            .collect()
-                    })
-                    .collect();
-                factors = &factors_clean;
-            }
-            posts_by_author = vec![Vec::new(); nb];
-            for (k, post) in ds.posts.iter().enumerate() {
-                posts_by_author[post.author.index()].push(k);
-            }
-            None
-        }
-        SweepKernel::Fused => Some(match layout_in {
-            Some(l) => l,
-            None => {
-                layout_owned = SweepLayout::build(ds, inputs);
-                &layout_owned
-            }
-        }),
-    };
-    if let Some(l) = layout {
-        degenerate |= l.sanitised;
-    }
-    // Guard against non-finite inputs: a single NaN would otherwise poison
-    // every score through the normalisations and Jacobi sweeps. Offending
-    // entries are neutralised (quality/GL/sentiment → 0, TC → 1) and the
-    // run is flagged `Degenerate` so callers can warn instead of silently
-    // ranking on garbage. The layout snapshots the sanitised vectors at
-    // build time, so a layout-carrying solve reads them straight off.
-    let quality_cow: Cow<[f64]>;
-    let gl_cow: Cow<[f64]>;
-    let tc_cow: Cow<[f64]>;
-    match layout {
-        Some(l) => {
-            quality_cow = Cow::Borrowed(&l.quality);
-            gl_cow = Cow::Borrowed(&l.gl);
-            tc_cow = Cow::Borrowed(&l.tc);
-        }
+    let l: &SweepLayout = match layout_in {
+        Some(l) => l,
         None => {
-            let raw_quality: Vec<f64> = inputs
-                .raw_quality
-                .iter()
-                .map(|&q| {
-                    if q.is_finite() && q >= 0.0 {
-                        q
-                    } else {
-                        degenerate = true;
-                        0.0
-                    }
-                })
-                .collect();
-            // Normalise quality against the current corpus maximum.
-            let qmax = raw_quality.iter().cloned().fold(0.0f64, f64::max);
-            quality_cow = Cow::Owned(if qmax > 0.0 {
-                raw_quality.iter().map(|q| q / qmax).collect()
-            } else {
-                raw_quality
-            });
-            gl_cow = Cow::Owned(
-                inputs
-                    .gl
-                    .iter()
-                    .map(|&g| {
-                        if g.is_finite() {
-                            g.clamp(0.0, 1.0)
-                        } else {
-                            degenerate = true;
-                            0.0
-                        }
-                    })
-                    .collect(),
-            );
-            tc_cow = Cow::Owned(
-                inputs
-                    .tc
-                    .iter()
-                    .map(|&t| {
-                        if t.is_finite() && t > 0.0 {
-                            t
-                        } else {
-                            degenerate = true;
-                            1.0
-                        }
-                    })
-                    .collect(),
-            );
+            layout_owned = SweepLayout::build(ds, inputs);
+            &layout_owned
         }
-    }
-    let quality: &[f64] = &quality_cow;
-    let gl: &[f64] = &gl_cow;
-    let tc: &[f64] = &tc_cow;
+    };
+    let mut degenerate = l.sanitised;
+    let quality: &[f64] = &l.quality;
+    let gl: &[f64] = &l.gl;
+    let tc: &[f64] = &l.tc;
     // Per-sweep (commenter × factor) contribution table for tabulated
     // pass A; empty when the direct kernel runs.
-    let s_count = layout.map_or(0, |l| l.sf_values.len());
+    let s_count = l.sf_values.len();
     let mut contrib = vec![0.0f64; nb * s_count];
     let mut inf = vec![0.5f64; nb]; // neutral start
     if let Some(seed) = warm_start {
@@ -794,270 +607,223 @@ fn solve_prepared_impl(
         iterations += 1;
         let sweep_start = std::time::Instant::now();
 
-        match kernel {
-            SweepKernel::Reference => {
-                // Step 1: raw comment scores, then max-normalise. Per-post
-                // folds are independent; the max is grouping-insensitive,
-                // so the chunked tree equals the serial fold bit for bit.
-                ex.par_fill(&mut comment_raw, |k| {
-                    factors[k]
-                        .iter()
-                        .fold(0.0, |cs, &(j, sf)| cs + inf[j] * sf / tc[j])
-                });
-                let cmax = ex.par_max(&comment_raw);
-                if cmax > 0.0 {
-                    ex.par_update(&mut comment_raw, |_, &c| c / cmax);
-                }
-
-                // Step 2: post influence.
-                ex.par_fill(&mut post_score, |k| {
-                    beta * quality[k] + (1.0 - beta) * comment_raw[k]
-                });
-
-                // Step 3: accumulated-post influence, max-normalised.
-                // Gathering by author keeps each slot's addition order
-                // identical to the scatter.
-                ex.par_fill(&mut ap, |i| {
-                    posts_by_author[i]
-                        .iter()
-                        .fold(0.0, |a, &k| a + post_score[k])
-                });
-                let amax = ex.par_max(&ap);
-                if amax > 0.0 {
-                    ex.par_update(&mut ap, |_, &a| a / amax);
-                }
-
-                // Step 4: overall influence + convergence check.
-                ex.par_fill(&mut next_inf, |i| alpha * ap[i] + (1.0 - alpha) * gl[i]);
-                residual = ex.par_reduce_det(nb, 0.0, |i| (next_inf[i] - inf[i]).abs(), f64::max);
+        // Three fused passes per sweep: the per-comment `inf·sf/tc`
+        // divides collapse into a small tabulated refresh, the max scans
+        // and the residual scan fold into the passes that produce the data,
+        // and the gathers walk flat CSR subslices. Every division stays in
+        // its own contiguous stream pass — the layout autovectorises — and
+        // every per-element op keeps the Eq. 1–4 sequence of the original
+        // nine-pass kernel, which `mass-oracle` keeps as the bit-for-bit
+        // reference (DESIGN.md §14).
+        if ex.threads() == 1 {
+            // Serial fast path: the same per-element operations in
+            // the same order, written as plain slice loops. The
+            // executor's chunked passes route every element through
+            // a closure call and a raw-pointer write, which blocks
+            // the optimiser from keeping accumulators in registers;
+            // at this corpus scale that dispatch tax exceeds the
+            // arithmetic itself. Bit-identity with the chunked path
+            // is the §8 argument in reverse: chunking never changes
+            // any per-element op, and the max/residual folds are
+            // grouping-insensitive, so serial == chunked.
+            //
+            // Pass A: refresh the (commenter × factor) term table —
+            // each entry the exact reference op sequence — then
+            // accumulate raw comment scores by scattering the flat
+            // comment stream through `f_post`. A per-post inner
+            // gather averages only a couple of trips on real
+            // corpora, so its exit branch mispredicts once per post
+            // and costs more than the arithmetic; the flat walk has
+            // one long perfectly-predicted loop. Bit-identity: the
+            // stream is post-major, so each post's additions land
+            // in the same order as the nested gather, folded from
+            // the same 0.0.
+            // The accesses use `get_unchecked`: the layout build
+            // validated every commenter index against `nb`, and
+            // every slot/post id is in range by construction, so
+            // the checks would only cost (these are the hottest
+            // loads in the solver).
+            for x in comment_raw.iter_mut() {
+                *x = 0.0;
             }
-            SweepKernel::Fused => {
-                // The reference kernel's pass structure, tightened where it
-                // pays: the per-comment `inf·sf/tc` divides collapse into a
-                // small tabulated refresh, the three full-array max scans
-                // and the residual scan fold into the passes that produce
-                // the data, and the gathers walk flat CSR subslices instead
-                // of nested heap `Vec`s. Every division stays in its own
-                // contiguous stream pass — the layout autovectorises —
-                // and every op keeps the reference sequence, so the output
-                // bits match the reference kernel exactly (DESIGN.md §14).
-                let l = layout.expect("fused kernel always has a layout");
-                if ex.threads() == 1 {
-                    // Serial fast path: the same per-element operations in
-                    // the same order, written as plain slice loops. The
-                    // executor's chunked passes route every element through
-                    // a closure call and a raw-pointer write, which blocks
-                    // the optimiser from keeping accumulators in registers;
-                    // at this corpus scale that dispatch tax exceeds the
-                    // arithmetic itself. Bit-identity with the chunked path
-                    // is the §8 argument in reverse: chunking never changes
-                    // any per-element op, and the max/residual folds are
-                    // grouping-insensitive, so serial == chunked.
-                    //
-                    // Pass A: refresh the (commenter × factor) term table —
-                    // each entry the exact reference op sequence — then
-                    // accumulate raw comment scores by scattering the flat
-                    // comment stream through `f_post`. A per-post inner
-                    // gather averages only a couple of trips on real
-                    // corpora, so its exit branch mispredicts once per post
-                    // and costs more than the arithmetic; the flat walk has
-                    // one long perfectly-predicted loop. Bit-identity: the
-                    // stream is post-major, so each post's additions land
-                    // in the same order as the nested gather, folded from
-                    // the same 0.0.
-                    // The accesses use `get_unchecked`: the layout build
-                    // validated every commenter index against `nb`, and
-                    // every slot/post id is in range by construction, so
-                    // the checks would only cost (these are the hottest
-                    // loads in the solver).
-                    for x in comment_raw.iter_mut() {
-                        *x = 0.0;
+            if l.tabulated {
+                for (j, row) in contrib.chunks_exact_mut(s_count.max(1)).enumerate() {
+                    for (s, slot) in row.iter_mut().enumerate() {
+                        *slot = inf[j] * l.sf_values[s] / tc[j];
                     }
-                    if l.tabulated {
-                        for (j, row) in contrib.chunks_exact_mut(s_count.max(1)).enumerate() {
-                            for (s, slot) in row.iter_mut().enumerate() {
-                                *slot = inf[j] * l.sf_values[s] / tc[j];
-                            }
-                        }
-                        for (&slot, &k) in l.f_slot.iter().zip(&l.f_post) {
-                            // SAFETY: slot = commenter·S + code with
-                            // commenter < nb (validated in build) and
-                            // code < S, so slot < nb·S = contrib.len();
-                            // k indexes inputs.factors, so k < np.
-                            unsafe {
-                                *comment_raw.get_unchecked_mut(k as usize) +=
-                                    *contrib.get_unchecked(slot as usize);
-                            }
-                        }
-                    } else {
-                        for ((&j, &sf), &k) in l.f_commenter.iter().zip(&l.f_sf).zip(&l.f_post) {
-                            // SAFETY: j < nb validated in build (inf and tc
-                            // both hold nb entries); k < np as above.
-                            unsafe {
-                                *comment_raw.get_unchecked_mut(k as usize) +=
-                                    *inf.get_unchecked(j as usize) * sf
-                                        / *tc.get_unchecked(j as usize);
-                            }
-                        }
+                }
+                for (&slot, &k) in l.f_slot.iter().zip(&l.f_post) {
+                    // SAFETY: slot = commenter·S + code with
+                    // commenter < nb (validated in build) and
+                    // code < S, so slot < nb·S = contrib.len();
+                    // k indexes inputs.factors, so k < np.
+                    unsafe {
+                        *comment_raw.get_unchecked_mut(k as usize) +=
+                            *contrib.get_unchecked(slot as usize);
                     }
-                    // The running max over posts rotates across four
-                    // accumulators: a single `max` chain is a 4-cycle-latency
-                    // dependency per post, which at np posts costs more than
-                    // the scatter itself. Max folds are grouping-insensitive
-                    // (the same fact that makes chunked == serial), so the
-                    // split is bit-exact.
-                    let mut cmax4 = [0.0f64; 4];
-                    for (k, &cs) in comment_raw.iter().enumerate() {
-                        cmax4[k & 3] = cmax4[k & 3].max(cs);
+                }
+            } else {
+                for ((&j, &sf), &k) in l.f_commenter.iter().zip(&l.f_sf).zip(&l.f_post) {
+                    // SAFETY: j < nb validated in build (inf and tc
+                    // both hold nb entries); k < np as above.
+                    unsafe {
+                        *comment_raw.get_unchecked_mut(k as usize) +=
+                            *inf.get_unchecked(j as usize) * sf / *tc.get_unchecked(j as usize);
                     }
-                    let cmax = cmax4[0].max(cmax4[1]).max(cmax4[2]).max(cmax4[3]);
-
-                    // Steps 1b+2 in one pass: normalise the comment scores
-                    // and blend them into post influence. The stored
-                    // comment_raw bits are the same `c / cmax` the separate
-                    // normalise pass produces.
-                    if cmax > 0.0 {
-                        for ((out, c), &q) in post_score
-                            .iter_mut()
-                            .zip(comment_raw.iter_mut())
-                            .zip(quality)
-                        {
-                            let cn = *c / cmax;
-                            *c = cn;
-                            *out = beta * q + (1.0 - beta) * cn;
-                        }
-                    } else {
-                        for ((out, &c), &q) in
-                            post_score.iter_mut().zip(comment_raw.iter()).zip(quality)
-                        {
-                            *out = beta * q + (1.0 - beta) * c;
-                        }
-                    }
-
-                    // Step 3: author gather over the flat CSR.
-                    let mut amax = 0.0f64;
-                    let mut lo = 0usize;
-                    for (out, &hi) in ap.iter_mut().zip(&l.a_off[1..]) {
-                        let hi = hi as usize;
-                        let mut a = 0.0;
-                        for &k in &l.a_post[lo..hi] {
-                            // SAFETY: a_post holds post ids < np =
-                            // post_score.len() by construction.
-                            a += unsafe { *post_score.get_unchecked(k as usize) };
-                        }
-                        lo = hi;
-                        *out = a;
-                        amax = amax.max(a);
-                    }
-
-                    // Steps 3b+4 in one pass: normalise AP and fold it into
-                    // the next influence vector plus the residual. Same
-                    // per-element ops as the separate passes.
-                    let mut res = 0.0f64;
-                    if amax > 0.0 {
-                        for (((out, a), &g), &prev) in
-                            next_inf.iter_mut().zip(ap.iter_mut()).zip(gl).zip(&inf)
-                        {
-                            let an = *a / amax;
-                            *a = an;
-                            let v = alpha * an + (1.0 - alpha) * g;
-                            *out = v;
-                            res = res.max((v - prev).abs());
-                        }
-                    } else {
-                        for (((out, &a), &g), &prev) in
-                            next_inf.iter_mut().zip(ap.iter()).zip(gl).zip(&inf)
-                        {
-                            let v = alpha * a + (1.0 - alpha) * g;
-                            *out = v;
-                            res = res.max((v - prev).abs());
-                        }
-                    }
-                    residual = res;
-                } else {
-                    // Chunked path — the same passes through the executor.
-                    // Pass A: term-table refresh + gather with the running
-                    // max folded into the fill.
-                    let cmax = if l.tabulated {
-                        ex.par_fill_rows(&mut contrib, s_count, |j, row| {
-                            for (s, slot) in row.iter_mut().enumerate() {
-                                *slot = inf[j] * l.sf_values[s] / tc[j];
-                            }
-                        });
-                        ex.par_fill_fold(
-                            &mut comment_raw,
-                            |k| {
-                                let lo = l.f_off[k] as usize;
-                                let hi = l.f_off[k + 1] as usize;
-                                let mut cs = 0.0;
-                                for &slot in &l.f_slot[lo..hi] {
-                                    cs += contrib[slot as usize];
-                                }
-                                cs
-                            },
-                            0.0,
-                            |acc, _, &c| acc.max(c),
-                            f64::max,
-                        )
-                    } else {
-                        ex.par_fill_fold(
-                            &mut comment_raw,
-                            |k| {
-                                let lo = l.f_off[k] as usize;
-                                let hi = l.f_off[k + 1] as usize;
-                                let mut cs = 0.0;
-                                for (&j, &sf) in l.f_commenter[lo..hi].iter().zip(&l.f_sf[lo..hi]) {
-                                    cs += inf[j as usize] * sf / tc[j as usize];
-                                }
-                                cs
-                            },
-                            0.0,
-                            |acc, _, &c| acc.max(c),
-                            f64::max,
-                        )
-                    };
-                    if cmax > 0.0 {
-                        ex.par_update(&mut comment_raw, |_, &c| c / cmax);
-                    }
-
-                    // Step 2: post influence (same stream blend as
-                    // reference).
-                    ex.par_fill(&mut post_score, |k| {
-                        beta * quality[k] + (1.0 - beta) * comment_raw[k]
-                    });
-
-                    // Step 3: author gather over the flat CSR with the max
-                    // folded in.
-                    let amax = ex.par_fill_fold(
-                        &mut ap,
-                        |i| {
-                            let lo = l.a_off[i] as usize;
-                            let hi = l.a_off[i + 1] as usize;
-                            let mut a = 0.0;
-                            for &k in &l.a_post[lo..hi] {
-                                a += post_score[k as usize];
-                            }
-                            a
-                        },
-                        0.0,
-                        |acc, _, &a| acc.max(a),
-                        f64::max,
-                    );
-                    if amax > 0.0 {
-                        ex.par_update(&mut ap, |_, &a| a / amax);
-                    }
-
-                    // Step 4: overall influence with the residual folded
-                    // into the same pass.
-                    residual = ex.par_fill_fold(
-                        &mut next_inf,
-                        |i| alpha * ap[i] + (1.0 - alpha) * gl[i],
-                        0.0,
-                        |acc, i, &v| acc.max((v - inf[i]).abs()),
-                        f64::max,
-                    );
                 }
             }
+            // The running max over posts rotates across four
+            // accumulators: a single `max` chain is a 4-cycle-latency
+            // dependency per post, which at np posts costs more than
+            // the scatter itself. Max folds are grouping-insensitive
+            // (the same fact that makes chunked == serial), so the
+            // split is bit-exact.
+            let mut cmax4 = [0.0f64; 4];
+            for (k, &cs) in comment_raw.iter().enumerate() {
+                cmax4[k & 3] = cmax4[k & 3].max(cs);
+            }
+            let cmax = cmax4[0].max(cmax4[1]).max(cmax4[2]).max(cmax4[3]);
+
+            // Steps 1b+2 in one pass: normalise the comment scores
+            // and blend them into post influence. The stored
+            // comment_raw bits are the same `c / cmax` the separate
+            // normalise pass produces.
+            if cmax > 0.0 {
+                for ((out, c), &q) in post_score
+                    .iter_mut()
+                    .zip(comment_raw.iter_mut())
+                    .zip(quality)
+                {
+                    let cn = *c / cmax;
+                    *c = cn;
+                    *out = beta * q + (1.0 - beta) * cn;
+                }
+            } else {
+                for ((out, &c), &q) in post_score.iter_mut().zip(comment_raw.iter()).zip(quality) {
+                    *out = beta * q + (1.0 - beta) * c;
+                }
+            }
+
+            // Step 3: author gather over the flat CSR.
+            let mut amax = 0.0f64;
+            let mut lo = 0usize;
+            for (out, &hi) in ap.iter_mut().zip(&l.a_off[1..]) {
+                let hi = hi as usize;
+                let mut a = 0.0;
+                for &k in &l.a_post[lo..hi] {
+                    // SAFETY: a_post holds post ids < np =
+                    // post_score.len() by construction.
+                    a += unsafe { *post_score.get_unchecked(k as usize) };
+                }
+                lo = hi;
+                *out = a;
+                amax = amax.max(a);
+            }
+
+            // Steps 3b+4 in one pass: normalise AP and fold it into
+            // the next influence vector plus the residual. Same
+            // per-element ops as the separate passes.
+            let mut res = 0.0f64;
+            if amax > 0.0 {
+                for (((out, a), &g), &prev) in
+                    next_inf.iter_mut().zip(ap.iter_mut()).zip(gl).zip(&inf)
+                {
+                    let an = *a / amax;
+                    *a = an;
+                    let v = alpha * an + (1.0 - alpha) * g;
+                    *out = v;
+                    res = res.max((v - prev).abs());
+                }
+            } else {
+                for (((out, &a), &g), &prev) in next_inf.iter_mut().zip(ap.iter()).zip(gl).zip(&inf)
+                {
+                    let v = alpha * a + (1.0 - alpha) * g;
+                    *out = v;
+                    res = res.max((v - prev).abs());
+                }
+            }
+            residual = res;
+        } else {
+            // Chunked path — the same passes through the executor.
+            // Pass A: term-table refresh + gather with the running
+            // max folded into the fill.
+            let cmax = if l.tabulated {
+                ex.par_fill_rows(&mut contrib, s_count, |j, row| {
+                    for (s, slot) in row.iter_mut().enumerate() {
+                        *slot = inf[j] * l.sf_values[s] / tc[j];
+                    }
+                });
+                ex.par_fill_fold(
+                    &mut comment_raw,
+                    |k| {
+                        let lo = l.f_off[k] as usize;
+                        let hi = l.f_off[k + 1] as usize;
+                        let mut cs = 0.0;
+                        for &slot in &l.f_slot[lo..hi] {
+                            cs += contrib[slot as usize];
+                        }
+                        cs
+                    },
+                    0.0,
+                    |acc, _, &c| acc.max(c),
+                    f64::max,
+                )
+            } else {
+                ex.par_fill_fold(
+                    &mut comment_raw,
+                    |k| {
+                        let lo = l.f_off[k] as usize;
+                        let hi = l.f_off[k + 1] as usize;
+                        let mut cs = 0.0;
+                        for (&j, &sf) in l.f_commenter[lo..hi].iter().zip(&l.f_sf[lo..hi]) {
+                            cs += inf[j as usize] * sf / tc[j as usize];
+                        }
+                        cs
+                    },
+                    0.0,
+                    |acc, _, &c| acc.max(c),
+                    f64::max,
+                )
+            };
+            if cmax > 0.0 {
+                ex.par_update(&mut comment_raw, |_, &c| c / cmax);
+            }
+
+            // Step 2: post influence.
+            ex.par_fill(&mut post_score, |k| {
+                beta * quality[k] + (1.0 - beta) * comment_raw[k]
+            });
+
+            // Step 3: author gather over the flat CSR with the max
+            // folded in.
+            let amax = ex.par_fill_fold(
+                &mut ap,
+                |i| {
+                    let lo = l.a_off[i] as usize;
+                    let hi = l.a_off[i + 1] as usize;
+                    let mut a = 0.0;
+                    for &k in &l.a_post[lo..hi] {
+                        a += post_score[k as usize];
+                    }
+                    a
+                },
+                0.0,
+                |acc, _, &a| acc.max(a),
+                f64::max,
+            );
+            if amax > 0.0 {
+                ex.par_update(&mut ap, |_, &a| a / amax);
+            }
+
+            // Step 4: overall influence with the residual folded
+            // into the same pass.
+            residual = ex.par_fill_fold(
+                &mut next_inf,
+                |i| alpha * ap[i] + (1.0 - alpha) * gl[i],
+                0.0,
+                |acc, i, &v| acc.max((v - inf[i]).abs()),
+                f64::max,
+            );
         }
         std::mem::swap(&mut inf, &mut next_inf);
         // The trace stream always carries the full series; the in-memory
@@ -1084,30 +850,9 @@ fn solve_prepared_impl(
             break;
         }
     }
-    // Materialise the reporting vectors from the last sweep (validate()
-    // guarantees at least one sweep runs).
-    match kernel {
-        SweepKernel::Reference => {
-            // comment_raw was normalised in place during the sweep; the
-            // final AP is recomputed from the last post scores.
-            ex.par_fill(&mut ap, |i| {
-                posts_by_author[i]
-                    .iter()
-                    .fold(0.0, |a, &k| a + post_score[k])
-            });
-            let amax = ex.par_max(&ap);
-            if amax > 0.0 {
-                ex.par_update(&mut ap, |_, &a| a / amax);
-            }
-        }
-        SweepKernel::Fused => {
-            // Nothing to do: the fused sweep leaves comment_raw, post_score
-            // and ap exactly where the reference kernel's materialise pass
-            // puts them (its final-AP recompute re-gathers the same
-            // post_score values and re-divides by the same amax, so the
-            // stored bits are already identical).
-        }
-    }
+    // The sweep leaves comment_raw normalised, and post_score and ap at
+    // their final values, so the reporting vectors need no extra pass
+    // (validate() guarantees at least one sweep runs).
     let comment_norm = comment_raw;
 
     // Belt and braces: if anything non-finite still slipped through (e.g. a
@@ -1150,8 +895,8 @@ fn solve_prepared_impl(
         blogger: inf,
         post: post_score,
         ap,
-        gl: gl_cow.into_owned(),
-        quality: quality_cow.into_owned(),
+        gl: gl.to_vec(),
+        quality: quality.to_vec(),
         comment: comment_norm,
         iterations,
         residual,
@@ -1518,137 +1263,6 @@ mod tests {
         }
     }
 
-    /// The fused three-pass kernel must reproduce the pre-§14 reference
-    /// kernel — every output field, bit for bit — across shapes, parameter
-    /// corners, thread counts and warm starts.
-    #[test]
-    fn fused_kernel_matches_reference_bitwise() {
-        for seed in [1u64, 7, 9] {
-            let out = mass_synth::generate(&mass_synth::SynthConfig::tiny(seed));
-            let ds = &out.dataset;
-            let ix = ds.index();
-            let variants = [
-                MassParams::paper(),
-                MassParams {
-                    alpha: 0.0,
-                    ..MassParams::paper()
-                },
-                MassParams {
-                    alpha: 1.0,
-                    beta: 0.1,
-                    ..MassParams::paper()
-                },
-                MassParams {
-                    epsilon: 1e-300,
-                    max_iterations: 12,
-                    residual_history_cap: 4,
-                    ..MassParams::paper()
-                },
-            ];
-            for base in variants {
-                let inputs = SolverInputs::build(ds, &ix, &base);
-                let warm: Vec<f64> = (0..ds.bloggers.len())
-                    .map(|i| (i % 10) as f64 / 10.0)
-                    .collect();
-                for threads in [1usize, 4] {
-                    let params = MassParams {
-                        threads,
-                        ..base.clone()
-                    };
-                    for seed_vec in [None, Some(warm.as_slice())] {
-                        let fast = solve_prepared(ds, &inputs, &params, seed_vec);
-                        let slow = solve_prepared_reference(ds, &inputs, &params, seed_vec);
-                        let ctx =
-                            format!("seed={seed} threads={threads} warm={}", seed_vec.is_some());
-                        assert_eq!(fast.iterations, slow.iterations, "{ctx}");
-                        assert_eq!(fast.residual.to_bits(), slow.residual.to_bits(), "{ctx}");
-                        assert_eq!(fast.residual_stride, slow.residual_stride, "{ctx}");
-                        assert_eq!(fast.converged, slow.converged, "{ctx}");
-                        assert_eq!(fast.status, slow.status, "{ctx}");
-                        for (name, a, b) in [
-                            ("blogger", &fast.blogger, &slow.blogger),
-                            ("post", &fast.post, &slow.post),
-                            ("ap", &fast.ap, &slow.ap),
-                            ("gl", &fast.gl, &slow.gl),
-                            ("quality", &fast.quality, &slow.quality),
-                            ("comment", &fast.comment, &slow.comment),
-                            ("history", &fast.residual_history, &slow.residual_history),
-                        ] {
-                            assert_eq!(
-                                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                                "{name} diverged at {ctx}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The fused kernel must also neutralise poisoned inputs exactly like
-    /// the reference kernel (the sanitisation runs before either sweep).
-    #[test]
-    fn fused_kernel_matches_reference_on_degenerate_inputs() {
-        let out = mass_synth::generate(&mass_synth::SynthConfig::tiny(3));
-        let ds = &out.dataset;
-        let ix = ds.index();
-        let params = MassParams::paper();
-        let mut inputs = SolverInputs::build(ds, &ix, &params);
-        inputs.raw_quality[0] = f64::NAN;
-        inputs.gl[0] = f64::INFINITY;
-        let fast = solve_prepared(ds, &inputs, &params, None);
-        let slow = solve_prepared_reference(ds, &inputs, &params, None);
-        assert_eq!(fast.status, SolveStatus::Degenerate);
-        assert_eq!(fast.status, slow.status);
-        assert_eq!(
-            fast.blogger.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            slow.blogger.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    /// The fused quality+sentiment input sweep must reproduce the separate
-    /// two-pass build bit for bit, across every prepare configuration.
-    #[test]
-    fn fused_build_matches_separate_build_bitwise() {
-        let out = mass_synth::generate(&mass_synth::SynthConfig::tiny(11));
-        let ds = &out.dataset;
-        let ix = ds.index();
-        for shingles in [false, true] {
-            for use_novelty in [true, false] {
-                let params = MassParams {
-                    shingle_novelty: shingles,
-                    use_novelty,
-                    ..MassParams::paper()
-                };
-                let corpus = PreparedCorpus::build(ds, params.threads);
-                let separate = SolverInputs::build_prepared_separate(ds, &ix, &params, &corpus);
-                let fused = SolverInputs::build_prepared(ds, &ix, &params, &corpus);
-                assert_eq!(
-                    separate
-                        .raw_quality
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
-                    fused
-                        .raw_quality
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .collect::<Vec<_>>(),
-                    "quality diverged (shingles={shingles} novelty={use_novelty})"
-                );
-                for (k, (a, b)) in separate.factors.iter().zip(&fused.factors).enumerate() {
-                    assert_eq!(a.len(), b.len(), "post {k}");
-                    for ((ja, sa), (jb, sb)) in a.iter().zip(b) {
-                        assert_eq!(ja, jb, "post {k} commenter");
-                        assert_eq!(sa.to_bits(), sb.to_bits(), "post {k} factor");
-                    }
-                }
-                assert_eq!(separate, fused, "remaining fields diverged");
-            }
-        }
-    }
-
     /// A prebuilt [`SweepLayout`] must be invisible in the output: same
     /// bits as the per-call layout build, at every thread count, cold and
     /// warm.
@@ -1682,8 +1296,9 @@ mod tests {
     }
 
     /// More distinct sentiment factors than [`MAX_DISTINCT_SF`] must fall
-    /// back to the direct per-comment stream — still bit-identical to the
-    /// reference kernel at every thread count.
+    /// back to the direct per-comment stream, with or without a prebuilt
+    /// layout. (`mass-oracle`'s differential suite pins the fallback's bits
+    /// against the reference kernel.)
     #[test]
     fn exotic_factor_set_falls_back_to_direct_stream() {
         let out = mass_synth::generate(&mass_synth::SynthConfig::tiny(13));
@@ -1712,8 +1327,6 @@ mod tests {
                 ..base.clone()
             };
             let fast = solve_prepared(ds, &inputs, &params, None);
-            let slow = solve_prepared_reference(ds, &inputs, &params, None);
-            assert_eq!(fast, slow, "threads={threads}");
             let prebuilt = solve_prepared_with_layout(ds, &inputs, &layout, &params, None);
             assert_eq!(fast, prebuilt, "threads={threads} prebuilt");
         }

@@ -1,7 +1,7 @@
 //! Property-based tests for the influence model: invariants that must hold
 //! for any dataset the strategy produces.
 
-use mass_core::{solve, top_k, MassParams};
+use mass_core::{solve, top_k, DecayParams, MassAnalysis, MassParams, TemporalParams};
 use mass_types::{BloggerId, Dataset, DatasetBuilder, DomainId, Sentiment};
 use proptest::prelude::*;
 
@@ -142,6 +142,64 @@ proptest! {
                 .sum();
             let got: f64 = row.iter().sum();
             prop_assert!((got - expected).abs() < 1e-6, "row {i}: {got} vs {expected}");
+        }
+    }
+}
+
+/// `x`, or — for `pick` in 1..=4 — one of the junk values a range
+/// strategy never produces.
+fn junk(x: f64, pick: usize) -> f64 {
+    match pick {
+        1 => f64::NAN,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => 0.0,
+        _ => x,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `MassParams::validate` reports junk in any field as a typed error,
+    /// never a panic — and whatever it accepts, the analysis runs on
+    /// without panicking and yields finite scores.
+    #[test]
+    fn params_validation_never_panics_on_junk(
+        (alpha, beta, epsilon) in (-0.5f64..1.5, -0.5f64..1.5, -0.1f64..1.0),
+        (pick_alpha, pick_beta, pick_epsilon) in (0usize..16, 0usize..16, 0usize..16),
+        (max_iterations, residual_history_cap) in (0usize..40, 0usize..6),
+        (half_life, pick_half_life, as_of, law) in (-50.0f64..500.0, 0usize..16, 0u64..1000, 0usize..3),
+        ds in arb_dataset(),
+    ) {
+        let temporal = match law {
+            0 => None,
+            1 => Some(TemporalParams {
+                as_of,
+                decay: DecayParams::Exponential {
+                    half_life: junk(half_life, pick_half_life),
+                },
+            }),
+            _ => Some(TemporalParams {
+                as_of,
+                decay: DecayParams::Window { horizon: as_of / 2 },
+            }),
+        };
+        let params = MassParams {
+            alpha: junk(alpha, pick_alpha),
+            beta: junk(beta, pick_beta),
+            epsilon: junk(epsilon, pick_epsilon),
+            max_iterations,
+            residual_history_cap,
+            temporal,
+            ..MassParams::paper()
+        };
+        match params.validate() {
+            Ok(()) => {
+                let a = MassAnalysis::analyze(&ds, &params);
+                prop_assert!(a.scores.blogger.iter().all(|x| x.is_finite()));
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
     }
 }

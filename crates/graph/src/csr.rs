@@ -400,8 +400,7 @@ impl LinkCsr {
         self.preds.degree(v)
     }
 
-    /// The successor adjacency as a whole — the pull kernels hand this to
-    /// [`crate::pull::PullKernel`].
+    /// The successor adjacency as a whole.
     #[inline]
     pub fn successors_csr(&self) -> &Csr {
         &self.succs

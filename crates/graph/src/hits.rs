@@ -19,10 +19,6 @@ pub struct HitsParams {
     /// `1` = the exact legacy serial loop, `n` = cap. Scores are bit-identical
     /// at every setting (DESIGN.md §8).
     pub threads: usize,
-    /// Source slots per cache tile for the authority pull: `0` = auto
-    /// (plain kernel), an explicit value forces that tile, `usize::MAX` =
-    /// never block. Scores are bit-identical at every setting (§14).
-    pub block_nodes: usize,
 }
 
 impl Default for HitsParams {
@@ -31,7 +27,6 @@ impl Default for HitsParams {
             tolerance: 1e-10,
             max_iterations: 200,
             threads: 1,
-            block_nodes: 0,
         }
     }
 }
@@ -101,18 +96,22 @@ pub fn hits_csr(g: &LinkCsr, params: &HitsParams, warm_hub: Option<&[f64]>) -> H
     let mut iterations = 0;
     let mut residual = f64::INFINITY;
 
-    // Same CSR pull kernels as `pagerank`, for every thread count:
+    // Same CSR pull loop as `pagerank`, for every thread count:
     // ascending-`u` predecessor rows reproduce the legacy serial scatter's
-    // per-slot addition order bit for bit (cache-blocked on large graphs,
-    // DESIGN.md §14), and the hub half-step's successor rows keep each
-    // node's insertion-order sum. The next-vector buffers are allocated
-    // once and swapped, not reallocated per sweep.
-    let kernel = crate::pull::PullKernel::prepare(g.predecessors_csr(), params.block_nodes);
+    // per-slot addition order bit for bit, and the hub half-step's
+    // successor rows keep each node's insertion-order sum. The next-vector
+    // buffers are allocated once and swapped, not reallocated per sweep.
+    let preds = g.predecessors_csr();
     let mut new_auth = vec![0.0f64; n];
     let mut new_hub = vec![0.0f64; n];
     while iterations < params.max_iterations {
         iterations += 1;
-        kernel.pull(ex, &hub, 0.0, &mut new_auth);
+        {
+            let hub = &hub;
+            ex.par_fill(&mut new_auth, |v| {
+                preds.row(v).iter().fold(0.0, |a, &u| a + hub[u as usize])
+            });
+        }
         normalize_l1(&mut new_auth, uniform);
 
         {

@@ -35,7 +35,6 @@ pub mod csr;
 pub mod digraph;
 pub mod hits;
 pub mod pagerank;
-pub mod pull;
 pub mod traversal;
 
 pub use components::{
@@ -45,5 +44,4 @@ pub use csr::{AdjacencyKind, Csr, CsrBuilder, LinkCsr};
 pub use digraph::{DegreeStats, DiGraph};
 pub use hits::{hits, hits_csr, HitsParams, HitsScores};
 pub use pagerank::{pagerank, pagerank_csr, PageRankParams, PageRankResult};
-pub use pull::{pull_unblocked, BlockedPull, PullKernel, DEFAULT_BLOCK_NODES};
 pub use traversal::{ball, bfs_within_radius, BfsLayer};

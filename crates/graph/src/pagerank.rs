@@ -16,10 +16,6 @@ pub struct PageRankParams {
     /// `1` = the exact legacy serial loop, `n` = cap. Scores are bit-identical
     /// at every setting (DESIGN.md §8).
     pub threads: usize,
-    /// Source slots per cache tile for the pull kernel: `0` = auto (plain
-    /// kernel), an explicit value forces that tile, `usize::MAX` = never
-    /// block. Scores are bit-identical at every setting (DESIGN.md §14).
-    pub block_nodes: usize,
 }
 
 impl Default for PageRankParams {
@@ -29,7 +25,6 @@ impl Default for PageRankParams {
             tolerance: 1e-10,
             max_iterations: 200,
             threads: 1,
-            block_nodes: 0,
         }
     }
 }
@@ -96,13 +91,13 @@ pub fn pagerank_csr(g: &LinkCsr, params: &PageRankParams, warm: Option<&[f64]>) 
     // Predecessor rows list every in-edge source (with multiplicity) in
     // ascending-`u` order — exactly the order the legacy serial scatter
     // added into slot `v` — so the fold reproduces the scatter result bit
-    // for bit, and the blocked layout reproduces the fold (DESIGN.md §14).
+    // for bit.
     let degree: Vec<u32> = (0..n).map(|u| g.out_degree(u) as u32).collect();
     // Dangling nodes never change across sweeps: index them once instead of
     // rescanning all n degrees every sweep. Ascending order, so the serial
     // per-sweep sum keeps the legacy filter-scan's exact addition sequence.
     let dangling: Vec<u32> = (0..n as u32).filter(|&u| degree[u as usize] == 0).collect();
-    let kernel = crate::pull::PullKernel::prepare(g.predecessors_csr(), params.block_nodes);
+    let preds = g.predecessors_csr();
     let mut share = vec![0.0f64; n];
 
     while iterations < params.max_iterations {
@@ -120,7 +115,13 @@ pub fn pagerank_csr(g: &LinkCsr, params: &PageRankParams, warm: Option<&[f64]>) 
                     d * rank[u] / degree[u] as f64
                 }
             });
-            kernel.pull(ex, &share, base, &mut next);
+            let share = &share;
+            ex.par_fill(&mut next, |v| {
+                preds
+                    .row(v)
+                    .iter()
+                    .fold(base, |a, &u| a + share[u as usize])
+            });
         }
         residual = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut rank, &mut next);

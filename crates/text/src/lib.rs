@@ -45,7 +45,7 @@ pub use discovery::{
 };
 pub use interest::InterestMiner;
 pub use intern::{Interner, TermId};
-pub use nb::{CompiledNb, NaiveBayes, NaiveBayesTrainer, NbPrecision, NB_FAST_TOLERANCE};
+pub use nb::{CompiledNb, NaiveBayes, NaiveBayesTrainer};
 pub use novelty::{NoveltyDetector, NoveltyParams};
 pub use prepared::PreparedCorpus;
 pub use search::{Bm25Params, InvertedIndex};

@@ -248,44 +248,16 @@ impl NaiveBayes {
                 ll_t[col * self.classes + c] = ll[c * width + col];
             }
         }
-        let ll_t_f32: Vec<f32> = ll_t.iter().map(|&x| x as f32).collect();
-        let log_priors_f32: Vec<f32> = log_priors.iter().map(|&x| x as f32).collect();
         CompiledNb {
             classes: self.classes,
             width,
             log_priors,
             ll,
             ll_t,
-            ll_t_f32,
-            log_priors_f32,
             term_map,
         }
     }
 }
-
-/// Accumulation precision for the compiled NB gather.
-///
-/// [`NbPrecision::Exact`] (the default) accumulates in `f64` and is
-/// `f64::to_bits`-identical to [`NaiveBayes::log_scores`] — the workspace
-/// contract. [`NbPrecision::Fast`] gathers from an `f32` copy of the
-/// likelihood table (half the memory traffic on large vocabularies) and
-/// accumulates in `f32`; posteriors agree with the exact path to within
-/// [`NB_FAST_TOLERANCE`] per entry but are NOT bit-identical — never use it
-/// where artifacts feed a byte-identity gate (DESIGN.md §14).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NbPrecision {
-    /// `f64` accumulate — bit-identical reference semantics (default).
-    #[default]
-    Exact,
-    /// `f32` table + `f32` accumulate — tolerance-bounded fast path.
-    Fast,
-}
-
-/// Documented per-entry posterior tolerance of [`NbPrecision::Fast`]
-/// against the exact path. `f32` carries ~7 significant digits; hundreds of
-/// accumulated tokens keep the log-score error orders of magnitude below
-/// this bound, and the differential suite enforces it on real corpora.
-pub const NB_FAST_TOLERANCE: f64 = 1e-3;
 
 /// A trained model flattened into a dense row-major table of precomputed
 /// log-likelihoods (`ll[class * width + column]`), plus a map from interner
@@ -306,10 +278,6 @@ pub struct CompiledNb {
     /// likelihoods are contiguous, so the per-token class loop is a unit
     /// stride the compiler vectorises. Same values as `ll`, bit for bit.
     ll_t: Vec<f64>,
-    /// `f32` copy of `ll_t` for [`NbPrecision::Fast`].
-    ll_t_f32: Vec<f32>,
-    /// `f32` copy of the priors for [`NbPrecision::Fast`].
-    log_priors_f32: Vec<f32>,
     /// Interner id → table column (`width - 1` for terms the model never
     /// saw).
     term_map: Vec<u32>,
@@ -343,46 +311,6 @@ impl CompiledNb {
     pub fn posterior_ids_into(&self, ids: &[TermId], out: &mut [f64]) {
         self.log_scores_ids_into(ids, out);
         softmax_in_place(out);
-    }
-
-    /// [`NbPrecision::Fast`] posterior: gathers from the `f32` table with a
-    /// pure-`f32` accumulation (the running score is narrowed back through
-    /// `f32` each step, so carrying it in the f64 `out` slot is exact
-    /// f32 arithmetic), then a stable f64 softmax. Within
-    /// [`NB_FAST_TOLERANCE`] of [`CompiledNb::posterior_ids_into`], not
-    /// bit-identical.
-    pub fn posterior_ids_into_fast(&self, ids: &[TermId], out: &mut [f64]) {
-        assert_eq!(out.len(), self.classes);
-        // Accumulate in a stack f32 buffer: half the table traffic of the
-        // exact path and no per-add width conversions. Class counts beyond
-        // the buffer take a heap accumulator instead — same arithmetic.
-        const STACK: usize = 64;
-        if self.classes <= STACK {
-            let mut acc = [0.0f32; STACK];
-            acc[..self.classes].copy_from_slice(&self.log_priors_f32);
-            self.accumulate_f32(ids, &mut acc[..self.classes]);
-            for (o, &s) in out.iter_mut().zip(&acc[..self.classes]) {
-                *o = f64::from(s);
-            }
-        } else {
-            let mut acc = self.log_priors_f32.clone();
-            self.accumulate_f32(ids, &mut acc);
-            for (o, &s) in out.iter_mut().zip(&acc) {
-                *o = f64::from(s);
-            }
-        }
-        softmax_in_place(out);
-    }
-
-    /// The `f32` gather-and-sum core of [`CompiledNb::posterior_ids_into_fast`].
-    fn accumulate_f32(&self, ids: &[TermId], acc: &mut [f32]) {
-        for &t in ids {
-            let col = self.term_map[t as usize] as usize;
-            let row = &self.ll_t_f32[col * self.classes..(col + 1) * self.classes];
-            for (score, &l) in acc.iter_mut().zip(row) {
-                *score += l;
-            }
-        }
     }
 
     /// Allocating wrapper over [`CompiledNb::log_scores_ids_into`].
@@ -435,29 +363,11 @@ impl CompiledNb {
         corpus: &PreparedCorpus,
         threads: usize,
     ) -> Vec<f64> {
-        self.posterior_batch_prepared_flat_with(corpus, threads, NbPrecision::Exact)
-    }
-
-    /// [`CompiledNb::posterior_batch_prepared_flat`] with an explicit
-    /// precision: `Exact` is the bit-identical default, `Fast` gathers from
-    /// the `f32` table (tolerance-bounded, see [`NB_FAST_TOLERANCE`]).
-    pub fn posterior_batch_prepared_flat_with(
-        &self,
-        corpus: &PreparedCorpus,
-        threads: usize,
-        precision: NbPrecision,
-    ) -> Vec<f64> {
         let start = std::time::Instant::now();
         let mut out = vec![0.0f64; corpus.posts() * self.classes];
-        let ex = mass_par::executor(threads);
-        match precision {
-            NbPrecision::Exact => ex.par_fill_rows(&mut out, self.classes, |k, row| {
-                self.posterior_ids_into(corpus.doc_tokens(k), row)
-            }),
-            NbPrecision::Fast => ex.par_fill_rows(&mut out, self.classes, |k, row| {
-                self.posterior_ids_into_fast(corpus.doc_tokens(k), row)
-            }),
-        }
+        mass_par::executor(threads).par_fill_rows(&mut out, self.classes, |k, row| {
+            self.posterior_ids_into(corpus.doc_tokens(k), row)
+        });
         mass_obs::histogram("text.classify_batch_us").record_duration(start.elapsed());
         out
     }
@@ -737,27 +647,6 @@ mod tests {
                 scratch.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 ref_post.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             );
-        }
-    }
-
-    #[test]
-    fn fast_precision_is_close_but_not_required_to_match() {
-        let m = trained();
-        let mut interner = Interner::new();
-        let ids = interned_probe_ids(&mut interner);
-        let compiled = m.compile(&interner);
-        let mut exact = vec![0.0f64; compiled.classes()];
-        let mut fast = vec![0.0f64; compiled.classes()];
-        for ids in &ids {
-            compiled.posterior_ids_into(ids, &mut exact);
-            compiled.posterior_ids_into_fast(ids, &mut fast);
-            for (a, b) in exact.iter().zip(&fast) {
-                assert!(
-                    (a - b).abs() <= NB_FAST_TOLERANCE,
-                    "fast posterior {b} drifted from {a}"
-                );
-            }
-            assert!((fast.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         }
     }
 

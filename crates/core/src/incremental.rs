@@ -262,6 +262,12 @@ impl IncrementalMass {
         &self.scores
     }
 
+    /// Per-post raw quality (length term × novelty), maintained eagerly as
+    /// posts arrive — the solver's unnormalised quality input.
+    pub fn raw_quality(&self) -> &[f64] {
+        &self.inputs.raw_quality
+    }
+
     /// The blogger × domain matrix as of the last refresh.
     pub fn domain_matrix(&self) -> &[Vec<f64>] {
         &self.domain_matrix

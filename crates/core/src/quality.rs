@@ -7,7 +7,8 @@
 //! solver's facets combine on a common scale.
 
 use crate::params::{LengthMode, MassParams};
-use mass_text::novelty::novelty_from_markers;
+use mass_obs::field;
+use mass_text::novelty::{novelty_from_markers, token_hash};
 use mass_text::{NoveltyDetector, NoveltyParams, PreparedCorpus};
 use mass_types::Dataset;
 
@@ -61,39 +62,59 @@ pub fn raw_quality_scores(ds: &Dataset, params: &MassParams) -> Vec<f64> {
 }
 
 /// [`raw_quality_scores`] over a [`PreparedCorpus`]: novelty shingles are
-/// built from the already-interned body tokens instead of re-tokenizing
-/// `post.text`, bit-identical to the string path (`&str` and `String` hash
-/// alike, and the marker scan still reads the raw text).
+/// keyed from the interned body tokens, each vocabulary term hashed once,
+/// instead of re-tokenizing `post.text`. The keys equal the string path's
+/// (both fold the same per-term [`token_hash`]es), and the marker scan
+/// still reads the raw text.
 ///
 /// The caller supplies — and keeps — the detector so later incremental
 /// posts dedupe against this corpus; pass
-/// [`make_detector`]`(params).as_mut()` for a one-shot run.
+/// [`make_detector`]`(params).as_mut()` for a one-shot run. Records the
+/// `quality.novelty` span with the pass's `posts` and `shingles` and the
+/// detector's `indexed` shingles afterwards.
 pub fn raw_quality_scores_with_detector(
     ds: &Dataset,
     corpus: &PreparedCorpus,
     params: &MassParams,
-    mut detector: Option<&mut NoveltyDetector>,
+    detector: Option<&mut NoveltyDetector>,
 ) -> Vec<f64> {
-    let mut toks: Vec<&str> = Vec::new();
-    ds.posts
+    let mut span = mass_obs::span_with("quality.novelty", vec![field("posts", ds.posts.len())]);
+    let Some(d) = detector.filter(|_| params.use_novelty) else {
+        return ds
+            .posts
+            .iter()
+            .map(|post| raw_quality_of(post, params, None))
+            .collect();
+    };
+    let term_hashes: Vec<u64> = corpus
+        .interner()
+        .iter()
+        .map(|(_, term)| token_hash(term))
+        .collect();
+    let shingles: usize = (0..ds.posts.len())
+        .map(|k| d.shingles_in(corpus.text_tokens(k).len()))
+        .sum();
+    d.reserve(shingles);
+    let mut hashes: Vec<u64> = Vec::new();
+    let scores = ds
+        .posts
         .iter()
         .enumerate()
         .map(|(k, post)| {
-            let novelty = if !params.use_novelty {
-                1.0
-            } else {
-                match detector.as_deref_mut() {
-                    Some(d) => {
-                        toks.clear();
-                        toks.extend(corpus.text_tokens(k).iter().map(|&t| corpus.resolve(t)));
-                        d.score_and_add_tokens(&post.text, &toks)
-                    }
-                    None => novelty_from_markers(&post.text),
-                }
-            };
-            length_term(post.length_words(), params.length_mode) * novelty
+            hashes.clear();
+            hashes.extend(
+                corpus
+                    .text_tokens(k)
+                    .iter()
+                    .map(|&t| term_hashes[t as usize]),
+            );
+            length_term(post.length_words(), params.length_mode)
+                * d.score_and_add_hashed(&post.text, &hashes)
         })
-        .collect()
+        .collect();
+    span.record(field("shingles", shingles));
+    span.record(field("indexed", d.indexed_shingles()));
+    scores
 }
 
 /// Per-post *raw* quality scores from a prepared corpus (tokenize-once path).

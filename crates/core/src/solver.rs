@@ -80,10 +80,7 @@ impl SolverInputs {
         detector: Option<&mut NoveltyDetector>,
     ) -> (Self, LinkCsr, Vec<f64>) {
         let _span = mass_obs::span("solver.build_inputs");
-        let raw_quality = {
-            let _s = mass_obs::span("quality.novelty");
-            raw_quality_scores_with_detector(ds, corpus, params, detector)
-        };
+        let raw_quality = raw_quality_scores_with_detector(ds, corpus, params, detector);
         let factors = {
             let _s = mass_obs::span("sentiment");
             resolve_comment_factors_prepared(ds, corpus)

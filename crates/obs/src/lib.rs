@@ -522,6 +522,8 @@ pub struct SpanGuard {
     /// capture was active at open.
     capture: Option<(u64, usize)>,
     start: Instant,
+    /// Fields known only once the work is done, emitted on `span_close`.
+    close_fields: Vec<Field>,
 }
 
 impl SpanGuard {
@@ -533,6 +535,16 @@ impl SpanGuard {
             trace: 0,
             capture: None,
             start: Instant::now(),
+            close_fields: Vec::new(),
+        }
+    }
+
+    /// Attaches a field to this span's close record — for results such as
+    /// counts that exist only after the scope's work. Dropped unless a sink
+    /// receives the span.
+    pub fn record(&mut self, f: Field) {
+        if self.telemetry.is_some() {
+            self.close_fields.push(f);
         }
     }
 }
@@ -570,7 +582,7 @@ impl Drop for SpanGuard {
             parent,
             depth,
             name: self.name,
-            fields: &[],
+            fields: &self.close_fields,
             elapsed_us: Some(elapsed_us),
         });
     }
@@ -603,6 +615,7 @@ pub fn span_with(name: &'static str, fields: Vec<Field>) -> SpanGuard {
             trace,
             capture,
             start: Instant::now(),
+            close_fields: Vec::new(),
         };
     };
     let id = t.next_span.fetch_add(1, Ordering::Relaxed);
@@ -632,6 +645,7 @@ pub fn span_with(name: &'static str, fields: Vec<Field>) -> SpanGuard {
         trace,
         capture,
         start: Instant::now(),
+        close_fields: Vec::new(),
     }
 }
 
@@ -778,6 +792,32 @@ mod tests {
             .sink(Box::new(Fwd(Arc::clone(&sink))))
             .build();
         (t, sink)
+    }
+
+    #[test]
+    fn recorded_fields_ride_on_the_close_record() {
+        let _guard = GLOBAL_LOCK.lock().unwrap();
+        let (t, sink) = mem_telemetry();
+        install(t);
+        {
+            let mut s = span_with("work", vec![field("items", 3u64)]);
+            s.record(field("done", 2u64));
+        }
+        uninstall();
+        let lines = sink.lines.lock().unwrap();
+        let docs: Vec<_> = lines.iter().map(|l| json::parse(l).unwrap()).collect();
+        let field_of = |d: &json::Json, k: &str| {
+            d.get("fields")
+                .and_then(|f| f.get(k))
+                .and_then(json::Json::as_u64)
+        };
+        assert_eq!(field_of(&docs[0], "items"), Some(3));
+        assert_eq!(field_of(&docs[0], "done"), None);
+        assert_eq!(
+            docs[1].get("kind").and_then(json::Json::as_str),
+            Some("span_close")
+        );
+        assert_eq!(field_of(&docs[1], "done"), Some(2));
     }
 
     #[test]

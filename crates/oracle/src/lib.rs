@@ -10,6 +10,14 @@
 //! flat CSR layout and must reproduce every output field of this one —
 //! scores, residual history, sweep count and status — `f64::to_bits` for
 //! bit, at every thread count.
+//!
+//! [`novelty_reference`] is the original novelty shingler: SipHash over
+//! each window's token strings into a SipHash set. Production novelty
+//! (`mass_text::NoveltyDetector`) keys shingles from per-term hashes and
+//! must score every post identically, `f64::to_bits` for bit, barring a
+//! 64-bit key collision.
+
+pub mod novelty_reference;
 
 use mass_core::{InfluenceScores, MassParams, SolveStatus, SolverInputs};
 use mass_types::Dataset;

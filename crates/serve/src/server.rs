@@ -12,6 +12,14 @@
 //! answering queries from the last-good snapshot with staleness headers;
 //! malformed requests die in the byte-budgeted parser with a 4xx; and
 //! shutdown drains: accepted connections finish, new ones are refused.
+//!
+//! A shed 503 must reach the client. Closing a socket whose request is
+//! still unread makes the kernel answer with a reset, which can destroy the
+//! 503 before the client reads it. So after writing the 503 the accept
+//! thread half-closes the socket and hands it to the shed lane: one thread
+//! that reads the client's request under a short deadline and only then
+//! closes. The lane is bounded; when it is full the accept thread drops the
+//! socket at once, so a flood of slow clients still cannot stall accepts.
 
 use crate::cache::AdVectorCache;
 use crate::http::{read_request, Limits, Request, Response};
@@ -24,8 +32,8 @@ use mass_core::{
 use mass_obs::json::Json;
 use mass_obs::{field, CompletedTrace, TraceId};
 use mass_types::{DomainId, Sentiment};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -162,6 +170,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: JoinHandle<()>,
+    shed_lane: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
     writer: JoinHandle<()>,
 }
@@ -188,6 +197,7 @@ impl ServerHandle {
     /// (Self::trigger_shutdown) or `POST /admin/shutdown`).
     pub fn wait(self) -> ShutdownReport {
         let _ = self.accept.join();
+        let _ = self.shed_lane.join();
         for w in self.workers {
             let _ = w.join();
         }
@@ -249,12 +259,23 @@ pub fn start(engine: IncrementalMass, config: ServeConfig) -> io::Result<ServerH
         shared.plane.queue_depth.clone(),
     ));
 
+    let lane = Arc::new(BoundedQueue::new(SHED_LANE_CAPACITY));
+    let shed_lane = {
+        let lane = Arc::clone(&lane);
+        std::thread::Builder::new()
+            .name("serve-shed".into())
+            .spawn(move || {
+                while let Some(stream) = lane.pop() {
+                    drain_request(stream);
+                }
+            })?
+    };
     let accept = {
         let shared = Arc::clone(&shared);
         let queue = Arc::clone(&queue);
         std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_loop(listener, queue, shared))?
+            .spawn(move || accept_loop(listener, queue, lane, shared))?
     };
     let workers = (0..config.workers.max(1))
         .map(|i| {
@@ -284,39 +305,75 @@ pub fn start(engine: IncrementalMass, config: ServeConfig) -> io::Result<ServerH
         addr,
         shared,
         accept,
+        shed_lane,
         workers,
         writer,
     })
 }
 
-fn accept_loop(listener: TcpListener, queue: Arc<BoundedQueue<TcpStream>>, shared: Arc<Shared>) {
+fn accept_loop(
+    listener: TcpListener,
+    queue: Arc<BoundedQueue<TcpStream>>,
+    lane: Arc<BoundedQueue<TcpStream>>,
+    shared: Arc<Shared>,
+) {
     for stream in listener.incoming() {
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         if let Err(stream) = queue.try_push(stream) {
-            shed(stream, &shared);
+            shed(stream, &lane, &shared);
         }
         mass_obs::gauge("serve.queue_depth").set(queue.len() as i64);
     }
-    // Drain cascade: close the queue (workers finish what's queued, then
-    // exit) and drop the edit sender (the writer drains, then exits).
+    // Drain cascade: close the queues (workers and the shed lane finish
+    // what's queued, then exit) and drop the edit sender (the writer
+    // drains, then exits).
     queue.close();
+    lane.close();
     shared.edits_tx.lock().unwrap().take();
 }
 
+/// Shed sockets waiting for the shed lane to read their request.
+const SHED_LANE_CAPACITY: usize = 16;
+/// How long the shed lane waits for one shed client's request.
+const SHED_DRAIN_DEADLINE: Duration = Duration::from_millis(200);
+/// Most bytes the shed lane reads from one shed client.
+const SHED_DRAIN_BYTES: usize = 16 * 1024;
+
 /// Admission control's fast path: an immediate 503 with `Retry-After`,
 /// written from the accept thread with a tight deadline so a slow client
-/// cannot stall accepts.
-fn shed(mut stream: TcpStream, shared: &Shared) {
+/// cannot stall accepts, then half-closed and passed to the shed lane (or
+/// dropped when the lane is full).
+fn shed(mut stream: TcpStream, lane: &BoundedQueue<TcpStream>, shared: &Shared) {
     shared.shed.fetch_add(1, Ordering::SeqCst);
     mass_obs::counter("serve.shed").inc();
     shared.plane.shed.inc();
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let resp = Response::error(503, "overloaded")
         .with_header("Retry-After", shared.config.retry_after_secs.to_string());
-    let _ = resp.write_to(&mut stream);
+    if resp.write_to(&mut stream).is_ok() && stream.shutdown(Shutdown::Write).is_ok() {
+        let _ = lane.try_push(stream);
+    }
+}
+
+/// Reads (and discards) what a shed client sends until it closes, the
+/// deadline passes or the byte cap is reached, then closes the socket.
+fn drain_request(mut stream: TcpStream) {
+    let deadline = Instant::now() + SHED_DRAIN_DEADLINE;
+    let mut buf = [0u8; 4096];
+    let mut read = 0;
+    while read < SHED_DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => read += n,
+        }
+    }
 }
 
 fn worker_loop(queue: Arc<BoundedQueue<TcpStream>>, shared: Arc<Shared>) {

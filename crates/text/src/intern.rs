@@ -4,7 +4,7 @@
 //! with dense ids from then on (DESIGN.md §10). The interner stores all term
 //! bytes contiguously in one `String` arena — no per-term allocation — and
 //! resolves ids back to `&str` slices for the few places that still need
-//! strings (topic labels, model vocabularies, shingle hashing).
+//! strings (topic labels, model vocabularies, the per-term novelty hashes).
 //!
 //! Ids are assigned in first-appearance order, so for a fixed token stream
 //! the mapping is deterministic regardless of thread count: interning is

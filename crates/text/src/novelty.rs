@@ -15,11 +15,23 @@
 //!    indexes 4-token shingles of every post; a post whose shingles mostly
 //!    appeared in *earlier* posts is treated as a copy even without marker
 //!    words. This catches verbatim reposts the lexicon misses.
+//!
+//! **Shingle keys.** Each token is hashed once, by [`token_hash`]; a
+//! shingle's key is a fixed 64-bit mix of its per-term hashes, seeded with
+//! how many terms it holds (so a short post's whole-text shingle never
+//! aliases a full `w`-token window). The batch path hashes the interned vocabulary once and maps
+//! each post's term ids through that table
+//! ([`NoveltyDetector::score_and_add_hashed`]); raw-text callers
+//! ([`NoveltyDetector::score_and_add`]) hash their tokens on the fly and
+//! land in the same key space. Keys are already mixed, so the seen-set
+//! stores them through a pass-through hasher. Two different shingles can
+//! share a key only on a 64-bit collision — the one way the score can
+//! differ from an exact string-set comparison.
 
 use crate::tokenize::tokenize;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Phrases that mark a post as reproduced content. Checked against the
 /// lowercased text, so multi-word markers work.
@@ -72,6 +84,53 @@ pub fn novelty_from_markers(text: &str) -> f64 {
     }
 }
 
+/// The 64-bit hash of one token, the input to every shingle key.
+pub fn token_hash(token: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    token.hash(&mut h);
+    h.finish()
+}
+
+/// MurmurHash3's 64-bit finaliser: a bijection that avalanches every input
+/// bit into every output bit.
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// The key of the shingle whose tokens hash to `term_hashes`, in order.
+/// Seeded with the number of terms; each term is folded in through a
+/// rotate, an xor and a full avalanche, so the key depends on term order.
+fn shingle_key(term_hashes: &[u64]) -> u64 {
+    term_hashes
+        .iter()
+        .fold(fmix64(term_hashes.len() as u64), |k, &t| {
+            fmix64(k.rotate_left(23) ^ t)
+        })
+}
+
+/// Hasher for keys that are already uniformly mixed: passes the `u64`
+/// through unchanged.
+#[derive(Clone, Copy, Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PassThrough only hashes u64 shingle keys")
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        self.0 = k;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Corpus-level novelty detector combining marker words with shingle overlap.
 ///
 /// Feed posts in (chronological) order with [`NoveltyDetector::score_and_add`];
@@ -81,7 +140,9 @@ pub fn novelty_from_markers(text: &str) -> f64 {
 #[derive(Debug)]
 pub struct NoveltyDetector {
     params: NoveltyParams,
-    seen_shingles: HashSet<u64>,
+    seen_shingles: HashSet<u64, BuildHasherDefault<PassThrough>>,
+    /// The current post's shingle keys (reused across calls).
+    keys: Vec<u64>,
 }
 
 impl NoveltyDetector {
@@ -97,36 +158,50 @@ impl NoveltyDetector {
         );
         NoveltyDetector {
             params,
-            seen_shingles: HashSet::new(),
+            seen_shingles: HashSet::default(),
+            keys: Vec::new(),
         }
     }
 
     /// Scores `text` against the corpus so far, then adds it to the corpus.
     pub fn score_and_add(&mut self, text: &str) -> f64 {
-        let tokens = tokenize(text);
-        let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-        self.score_and_add_tokens(text, &refs)
+        let hashes: Vec<u64> = tokenize(text).iter().map(|t| token_hash(t)).collect();
+        self.score_and_add_hashed(text, &hashes)
     }
 
-    /// [`Self::score_and_add`] with the tokenization already done — the
-    /// prepared-corpus path. `tokens` must be the (stopword-filtered) tokens
-    /// of `text`; the raw text is still needed for the marker scan, which is
-    /// a substring search, not a token match. Hashing a resolved `&str`
-    /// produces the same shingle hash as the owned-`String` path, so mixing
-    /// both against one detector is exact.
-    pub fn score_and_add_tokens(&mut self, text: &str, tokens: &[&str]) -> f64 {
+    /// [`Self::score_and_add`] with the tokens already hashed — the
+    /// prepared-corpus path. `term_hashes` must be the [`token_hash`]es of
+    /// the (stopword-filtered) tokens of `text`, in order; the raw text is
+    /// still needed for the marker scan, which is a substring search, not a
+    /// token match.
+    pub fn score_and_add_hashed(&mut self, text: &str, term_hashes: &[u64]) -> f64 {
         let marker_score = novelty_from_markers(text);
-        let shingles = self.shingles(tokens);
-        let overlap = if shingles.is_empty() {
+        self.keys.clear();
+        if term_hashes.len() < self.params.shingle_len {
+            // Short posts hash as a single whole-text shingle.
+            if !term_hashes.is_empty() {
+                self.keys.push(shingle_key(term_hashes));
+            }
+        } else {
+            self.keys.extend(
+                term_hashes
+                    .windows(self.params.shingle_len)
+                    .map(shingle_key),
+            );
+        }
+        // Check every key before inserting any, so a shingle repeated
+        // within this post still counts as unseen.
+        let overlap = if self.keys.is_empty() {
             0.0
         } else {
-            let seen = shingles
+            let seen = self
+                .keys
                 .iter()
-                .filter(|s| self.seen_shingles.contains(s))
+                .filter(|k| self.seen_shingles.contains(k))
                 .count();
-            seen as f64 / shingles.len() as f64
+            seen as f64 / self.keys.len() as f64
         };
-        self.seen_shingles.extend(shingles);
+        self.seen_shingles.extend(self.keys.iter().copied());
 
         if overlap >= self.params.duplicate_threshold {
             // Near-duplicate: squeeze into (0, 0.1], lower for higher overlap.
@@ -138,23 +213,25 @@ impl NoveltyDetector {
         }
     }
 
+    /// Shingle keys a post of `tokens` tokens contributes: one per full
+    /// window, one whole-text key for a shorter non-empty post.
+    pub fn shingles_in(&self, tokens: usize) -> usize {
+        match tokens {
+            0 => 0,
+            n if n < self.params.shingle_len => 1,
+            n => n - self.params.shingle_len + 1,
+        }
+    }
+
+    /// Makes room for `additional` more distinct shingles, so a pass of
+    /// known size indexes without rehashing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.seen_shingles.reserve(additional);
+    }
+
     /// Distinct shingles indexed so far.
     pub fn indexed_shingles(&self) -> usize {
         self.seen_shingles.len()
-    }
-
-    fn shingles(&self, tokens: &[&str]) -> Vec<u64> {
-        if tokens.len() < self.params.shingle_len {
-            // Short posts hash as a single whole-text shingle.
-            if tokens.is_empty() {
-                return Vec::new();
-            }
-            return vec![hash_tokens(tokens)];
-        }
-        tokens
-            .windows(self.params.shingle_len)
-            .map(hash_tokens)
-            .collect()
     }
 }
 
@@ -162,18 +239,6 @@ impl Default for NoveltyDetector {
     fn default() -> Self {
         Self::new(NoveltyParams::default())
     }
-}
-
-// `&str` hashes exactly like the `String` it was resolved from (bytes plus
-// the 0xff length terminator), so interned and owned token streams index
-// into the same shingle space.
-fn hash_tokens(tokens: &[&str]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for t in tokens {
-        t.hash(&mut h);
-        0xffu8.hash(&mut h); // separator so ["ab","c"] != ["a","bc"]
-    }
-    h.finish()
 }
 
 #[cfg(test)]
@@ -261,15 +326,45 @@ mod tests {
         for (i, text) in texts.iter().enumerate() {
             let a = by_text.score_and_add(text);
             let b = if i % 2 == 0 {
-                let tokens = tokenize(text);
-                let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-                mixed.score_and_add_tokens(text, &refs)
+                let hashes: Vec<u64> = tokenize(text).iter().map(|t| token_hash(t)).collect();
+                mixed.score_and_add_hashed(text, &hashes)
             } else {
                 mixed.score_and_add(text)
             };
             assert_eq!(a.to_bits(), b.to_bits(), "diverged on post {i}");
         }
         assert_eq!(by_text.indexed_shingles(), mixed.indexed_shingles());
+    }
+
+    #[test]
+    fn token_boundaries_change_the_key() {
+        let ab_c = shingle_key(&[token_hash("ab"), token_hash("c")]);
+        let a_bc = shingle_key(&[token_hash("a"), token_hash("bc")]);
+        assert_ne!(ab_c, a_bc);
+    }
+
+    #[test]
+    fn keys_depend_on_term_order_and_window_length() {
+        let (a, b) = (token_hash("alpha"), token_hash("beta"));
+        assert_ne!(shingle_key(&[a, b]), shingle_key(&[b, a]));
+        assert_ne!(shingle_key(&[a]), shingle_key(&[a, a]));
+    }
+
+    #[test]
+    fn shingles_in_counts_windows_and_short_posts() {
+        let d = NoveltyDetector::default();
+        assert_eq!([0, 1, 3, 4, 10].map(|n| d.shingles_in(n)), [0, 1, 1, 1, 7]);
+    }
+
+    #[test]
+    fn repeated_shingle_within_one_post_counts_as_unseen() {
+        let mut d = NoveltyDetector::default();
+        // 37 windows over 4 distinct shingles: inserting while checking
+        // would see 33 of them (overlap 0.89, a duplicate), but none was
+        // seen before this post.
+        let text = "rust code fast safe ".repeat(10);
+        assert_eq!(d.score_and_add(&text), 1.0);
+        assert_eq!(d.indexed_shingles(), 4);
     }
 
     #[test]

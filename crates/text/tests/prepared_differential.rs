@@ -6,6 +6,7 @@
 //! string path **bit for bit** (`f64::to_bits`), because the PR 3 contract
 //! promises byte-identical `rank --json-out` artifacts across the rewrite.
 
+use mass_text::novelty::token_hash;
 use mass_text::{
     tokenize, tokenize_keep_stopwords, NaiveBayesTrainer, NoveltyDetector, PreparedCorpus,
     SentimentLexicon,
@@ -74,15 +75,18 @@ proptest! {
             );
         }
 
-        // 3. Novelty: shingles from resolved tokens == shingles from text,
-        // with the detectors accumulating the same corpus state.
+        // 3. Novelty: shingles from per-term hashes of the interned ids ==
+        // shingles from text, with the detectors accumulating the same
+        // corpus state.
+        let term_hashes: Vec<u64> =
+            corpus.interner().iter().map(|(_, t)| token_hash(t)).collect();
         let mut old = NoveltyDetector::default();
         let mut new = NoveltyDetector::default();
         for (k, p) in ds.posts.iter().enumerate() {
             let legacy = old.score_and_add(&p.text);
-            let toks: Vec<&str> =
-                corpus.text_tokens(k).iter().map(|&t| corpus.resolve(t)).collect();
-            let interned = new.score_and_add_tokens(&p.text, &toks);
+            let hashes: Vec<u64> =
+                corpus.text_tokens(k).iter().map(|&t| term_hashes[t as usize]).collect();
+            let interned = new.score_and_add_hashed(&p.text, &hashes);
             prop_assert_eq!(legacy.to_bits(), interned.to_bits(), "novelty {}", k);
         }
 

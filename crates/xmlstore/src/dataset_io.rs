@@ -244,10 +244,15 @@ pub fn save(ds: &Dataset, path: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-/// Loads and validates a dataset from a file.
+/// Loads and validates a dataset from a file. Records the `xml.load` span
+/// with the file's `bytes` and the loaded `posts`.
 pub fn load(path: impl AsRef<Path>) -> Result<Dataset> {
+    let mut span = mass_obs::span("xml.load");
     let xml = std::fs::read_to_string(path)?;
-    from_xml_str(&xml)
+    span.record(mass_obs::field("bytes", xml.len()));
+    let ds = from_xml_str(&xml)?;
+    span.record(mass_obs::field("posts", ds.posts.len()));
+    Ok(ds)
 }
 
 #[cfg(test)]

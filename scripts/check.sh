@@ -46,7 +46,7 @@ if [[ $fast -eq 0 ]]; then
     --metrics-out "$obs_dir/rank_metrics.json" >/dev/null
   "$mass" obs-validate --trace "$obs_dir/rank.jsonl" \
     --metrics "$obs_dir/rank_metrics.json" \
-    --expect-spans solver.solve,solver.build_inputs,quality.novelty,analysis.analyze,text.prepare \
+    --expect-spans xml.load,solver.solve,solver.build_inputs,quality.novelty,analysis.analyze,text.prepare \
     --expect-metrics solver.sweeps,solver.sweep_us,text.tokens_interned,text.vocab_size,text.classify_batch_us
 
   echo "== parallel determinism: rank at --threads 1 and 4 is byte-identical =="
@@ -93,6 +93,11 @@ if [[ $fast -eq 0 ]]; then
   # table_x17_kernel_speed asserts the fused solve is >=2x the reference
   # kernel in mass-oracle and bit-compares every optimised kernel inline.
   cargo run --release -q -p mass-bench --bin table_x17_kernel_speed >/dev/null
+
+  echo "== release-only differential: novelty keys bit-identical to the reference at 3k bloggers =="
+  # Production shingle keys (per-term hashes) against the SipHash-over-
+  # strings reference in mass-oracle: every post's raw quality, bit for bit.
+  cargo test --release -q -p mass-oracle -- --ignored novelty
 
   echo "== incremental exactness: Exact refresh artifact equals full recompute =="
   # The CLI face of the exactness contract (DESIGN.md §11): a scripted edit
